@@ -482,7 +482,7 @@ func BenchmarkKernelPanels(b *testing.B) {
 	eta := []int{48, 48, 48}
 	dim := 0
 	n := eta[dim]
-	for _, sv := range []sweep.BatchSolver{sweep.Recurrence{}, sweep.Tridiag{}, sweep.NewPenta()} {
+	for _, sv := range []sweep.Solver{sweep.Recurrence{}, sweep.Tridiag{}, sweep.NewPenta()} {
 		rng := rand.New(rand.NewSource(17))
 		gs := kernelBenchGrids(sv, eta, dim, rng)
 		nv := len(gs)

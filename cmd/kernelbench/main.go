@@ -1,21 +1,27 @@
 // Command kernelbench measures the line-batched sweep kernels and emits the
 // BENCH_kernels.json artifact consumed by the CI perf gate.
 //
+// Every executor runs the batched panel kernels; the "penta-scalar" rows
+// are the unbatched ablation — the same sweep at panel width 1, one line
+// per kernel call — and "penta-batched" runs at the default width.
+//
 // Two suites:
 //
 //   - kernels-sim: virtual-machine results (makespan, messages, bytes) of
 //     the strict distributed SP driver and of a data-mode multipartitioned
-//     pentadiagonal sweep in both scalar and batched mode. Everything here
-//     is bit-reproducible, so the CI gate diffs it at zero tolerance; the
-//     scalar and batched rows must stay identical to each other (batching
-//     is a kernel-level change, invisible to the cost model), and the tool
-//     itself verifies the two runs produce bitwise-identical grid data.
+//     pentadiagonal sweep at panel width 1 and at the default width.
+//     Everything here is bit-reproducible, so the CI gate diffs it at zero
+//     tolerance; the two penta rows must stay identical to each other (the
+//     panel width is a kernel-level choice, invisible to the cost model),
+//     and the tool itself verifies the two runs produce bitwise-identical
+//     grid data.
 //
-//   - kernels-wall: wall-clock ns/element and allocations per run for the
-//     scalar and batched paths, plus the batched-over-scalar speedup.
-//     These are host-dependent; the CI gate diffs them with wide relative
-//     tolerance (-tol 'kernels-wall=1.0') to catch only gross regressions
-//     (e.g. the batched path silently falling back to scalar).
+//   - kernels-wall: wall-clock ns/element and allocations per run at
+//     panel width 1 and at the default width, plus the speedup of the
+//     wide panels. These are host-dependent; the CI gate diffs them with
+//     wide relative tolerance (-tol 'kernels-wall=1.0') to catch only
+//     gross regressions (e.g. the panel width no longer reaching the
+//     kernels).
 //
 // Usage:
 //
@@ -143,7 +149,7 @@ func pentaSystem(eta []int) []*grid.Grid {
 }
 
 // pentaSweep is one measurable configuration: a data-mode multipartitioned
-// pentadiagonal sweep along dim 0 with a fixed batch setting.
+// pentadiagonal sweep along dim 0 at a fixed panel width (0: the default).
 type pentaSweep struct {
 	p     int
 	gamma []int
@@ -201,10 +207,10 @@ func simSuite() []obs.BenchRecord {
 		spCase(8, []int{4, 4, 2}, []int{24, 24, 24}, 1),
 		spCase(16, []int{4, 4, 4}, []int{32, 32, 32}, 1),
 	}
-	// Batched vs scalar must be invisible to the virtual machine: identical
+	// The panel width must be invisible to the virtual machine: identical
 	// makespans, identical traffic, bitwise-identical grid data.
 	p, gamma, eta := 8, []int{4, 4, 2}, []int{32, 32, 32}
-	scalar := newPentaSweep(p, gamma, eta, -1)
+	scalar := newPentaSweep(p, gamma, eta, 1)
 	batched := newPentaSweep(p, gamma, eta, 0)
 	sres := scalar.run()
 	bres := batched.run()
@@ -212,12 +218,12 @@ func simSuite() []obs.BenchRecord {
 		sd, bd := scalar.work[v].Data(), batched.work[v].Data()
 		for i := range sd {
 			if math.Float64bits(sd[i]) != math.Float64bits(bd[i]) {
-				log.Fatalf("batched sweep diverges from scalar: vec %d element %d: %v vs %v", v, i, sd[i], bd[i])
+				log.Fatalf("batched sweep diverges from width-1 panels: vec %d element %d: %v vs %v", v, i, sd[i], bd[i])
 			}
 		}
 	}
 	if sres.Makespan != bres.Makespan {
-		log.Fatalf("batched sweep changed the virtual makespan: scalar %g vs batched %g", sres.Makespan, bres.Makespan)
+		log.Fatalf("batched sweep changed the virtual makespan: width 1 %g vs batched %g", sres.Makespan, bres.Makespan)
 	}
 	for _, c := range []struct {
 		name string
@@ -257,7 +263,7 @@ func wallTime(iters int, f func()) (time.Duration, float64) {
 
 func wallSuite(iters int) []obs.BenchRecord {
 	p, gamma, eta := 8, []int{4, 4, 2}, []int{32, 32, 32}
-	scalar := newPentaSweep(p, gamma, eta, -1)
+	scalar := newPentaSweep(p, gamma, eta, 1)
 	batched := newPentaSweep(p, gamma, eta, 0)
 	elems := float64(scalar.elements())
 

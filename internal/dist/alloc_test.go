@@ -105,7 +105,6 @@ func TestMultiSweepSteadyStateAllocFree(t *testing.T) {
 func resetScratchStats(buf []rankScratch) {
 	for q := range buf {
 		buf[q].pan.ResetStats()
-		buf[q].chunk.ResetStats()
 	}
 }
 

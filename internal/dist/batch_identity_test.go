@@ -13,15 +13,16 @@ import (
 )
 
 // requireBitIdentical fails unless every element of got matches want down to
-// the exact float64 bit pattern: the batched kernels are drop-in replacements
-// for the scalar oracle, not approximations, so the tolerance is zero.
+// the exact float64 bit pattern: the executors' batched kernels reproduce the
+// serial whole-line scalar solve, not an approximation of it, so the
+// tolerance is zero.
 func requireBitIdentical(t *testing.T, tag string, want, got []*grid.Grid) {
 	t.Helper()
 	for v := range want {
 		wd, gd := want[v].Data(), got[v].Data()
 		for i := range wd {
 			if math.Float64bits(wd[i]) != math.Float64bits(gd[i]) {
-				t.Fatalf("%s: vec %d element %d: scalar %v vs batched %v",
+				t.Fatalf("%s: vec %d element %d: serial %v vs executor %v",
 					tag, v, i, wd[i], gd[i])
 			}
 		}
@@ -29,11 +30,12 @@ func requireBitIdentical(t *testing.T, tag string, want, got []*grid.Grid) {
 }
 
 // identitySolvers covers every batched kernel family: the first-order
-// recurrence, the specialized tridiagonal, and the general banded code
+// recurrence, the specialized tridiagonal, the general banded code
 // (pentadiagonal), whose backward pass also exercises the PassAccess masks
-// that skip gathering the lower bands and scatter only the rhs.
+// that skip gathering the lower bands and scatter only the rhs, and BT's
+// 5×5 block tridiagonal, whose masks skip scattering A and B.
 func identitySolvers() []sweep.Solver {
-	return []sweep.Solver{sweep.Recurrence{}, sweep.Tridiag{}, sweep.NewPenta()}
+	return []sweep.Solver{sweep.Recurrence{}, sweep.Tridiag{}, sweep.NewPenta(), sweep.NewBlockTridiag(5)}
 }
 
 func identityGrids(t *testing.T, rng *rand.Rand, solver sweep.Solver, eta []int, dim int) []*grid.Grid {
@@ -45,6 +47,8 @@ func identityGrids(t *testing.T, rng *rand.Rand, solver sweep.Solver, eta []int,
 		return makeBandedGrids(rng, eta, 1, 1, dim)
 	case sweep.Banded:
 		return makeBandedGrids(rng, eta, sv.KL, sv.KU, dim)
+	case sweep.BlockTridiag:
+		return makeBlockTriGrids(rng, eta, sv.B, dim)
 	}
 	t.Fatalf("unknown solver %T", solver)
 	return nil
@@ -55,6 +59,9 @@ func identityGrids(t *testing.T, rng *rand.Rand, solver sweep.Solver, eta []int,
 // most cross-sections.
 var identityBatches = []int{1, 7, 64}
 
+// TestMultiSweepBatchBitIdentical checks the multipartitioned executor
+// against the serial oracle — sweep.ChunkedSolve over every global line —
+// for every kernel family, sweep dimension and panel width.
 func TestMultiSweepBatchBitIdentical(t *testing.T) {
 	p, gamma, eta := 8, []int{4, 4, 2}, []int{16, 13, 9}
 	m, err := core.NewGeneralized(p, gamma)
@@ -81,7 +88,7 @@ func TestMultiSweepBatchBitIdentical(t *testing.T) {
 				}
 				return work
 			}
-			want := run(-1)
+			want := serialSolve(solver, gs, dim)
 			for _, batch := range identityBatches {
 				tag := fmt.Sprintf("multisweep %s dim %d batch %d", solver.Name(), dim, batch)
 				requireBitIdentical(t, tag, want, run(batch))
@@ -90,6 +97,8 @@ func TestMultiSweepBatchBitIdentical(t *testing.T) {
 	}
 }
 
+// TestBlockSweepsBatchBitIdentical is the same check for the block
+// unipartitioning's local, wavefront and transpose sweeps.
 func TestBlockSweepsBatchBitIdentical(t *testing.T) {
 	p := 4
 	eta := []int{13, 10, 9}
@@ -130,7 +139,7 @@ func TestBlockSweepsBatchBitIdentical(t *testing.T) {
 				}
 				return work
 			}
-			want := run(-1)
+			want := serialSolve(solver, gs, mode.dim)
 			for _, batch := range identityBatches {
 				tag := fmt.Sprintf("block %s grain %d %s batch %d", mode.name, mode.grain, solver.Name(), batch)
 				requireBitIdentical(t, tag, want, run(batch))

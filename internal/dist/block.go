@@ -27,9 +27,8 @@ type Block struct {
 	// Coll selects the all-to-all algorithm of TransposeSweep
 	// (xport.AlgAuto: the direct pairwise exchange).
 	Coll xport.Alg
-	// Batch is the panel width of the batched sweep kernels: 0 picks
-	// sweep.DefaultBatchLines, negative forces the scalar per-line path
-	// (the bit-identical oracle, also used as the "before" ablation).
+	// Batch is the panel width of the batched sweep kernels; values ≤ 0
+	// pick sweep.DefaultBatchLines.
 	Batch int
 	// Overlap is folded into lazily compiled wavefront plans: enabled, each
 	// pipeline block solves its boundary lines first and posts the carry
@@ -65,21 +64,17 @@ type wfKey struct {
 }
 
 // rankScratch is the per-rank reusable state of a sweep executor: the SoA
-// panel arena, a second workspace for chunked scalar solves (the two must
-// be distinct — a chunk solve runs while panel views are live), and the
-// cached line geometry.
+// panel arena and the cached line geometry.
 type rankScratch struct {
-	pan       sweep.Workspace
-	chunk     sweep.Workspace
-	lines     []grid.Line
-	tileLines []int
-	pub       sweep.WorkspacePublisher
+	pan   sweep.Workspace
+	lines []grid.Line
+	pub   sweep.WorkspacePublisher
 }
 
 // publish streams this rank's arena acquisition counters into the run's
 // live registry (a no-op when metrics are off).
 func (sc *rankScratch) publish(r xport.Transport) {
-	sc.pub.Publish(r.MetricsRegistry(), &sc.pan, &sc.chunk)
+	sc.pub.Publish(r.MetricsRegistry(), &sc.pan)
 }
 
 // scratchWorkspaceStats aggregates arena counters across a per-rank
@@ -88,10 +83,9 @@ func (sc *rankScratch) publish(r xport.Transport) {
 func scratchWorkspaceStats(buf []rankScratch) sweep.WorkspaceStats {
 	var out sweep.WorkspaceStats
 	for q := range buf {
-		for _, s := range []sweep.WorkspaceStats{buf[q].pan.Stats(), buf[q].chunk.Stats()} {
-			out.Gets += s.Gets
-			out.Hits += s.Hits
-		}
+		s := buf[q].pan.Stats()
+		out.Gets += s.Gets
+		out.Hits += s.Hits
 	}
 	return out
 }
@@ -208,28 +202,12 @@ func (b *Block) LocalSweep(r xport.Transport, dim int, solver sweep.Solver, vecs
 	r.ComputeFlops(solver.FlopsPerElement() * float64(elements) * b.Overhead.ComputeFactor)
 }
 
-// solveLocalLines runs full-line solves over every line of rect along dim.
-// Lines are packed into SoA panels of `batch` lines and solved by the
-// batched kernels (bit-identical to the scalar path); solvers without a
-// batched form, or batch < 0, take the per-line scalar path.
+// solveLocalLines runs full-line solves over every line of rect along dim,
+// packed into SoA panels of `batch` lines (0 or less: the default width).
 func solveLocalLines(solver sweep.Solver, vecs []*grid.Grid, rect grid.Rect, dim, batch int, sc *rankScratch) {
 	n := rect.Hi[dim] - rect.Lo[dim]
 	nv := solver.NumVecs()
-	bs, ok := solver.(sweep.BatchSolver)
-	if !ok || batch < 0 {
-		chunk := sc.pan.Panels(nv, n)
-		vecs[0].EachLine(rect, dim, func(l grid.Line) {
-			for v, g := range vecs {
-				g.Gather(l, chunk[v])
-			}
-			sweep.ChunkedSolveWS(solver, chunk, nil, &sc.chunk)
-			for v, g := range vecs {
-				g.Scatter(l, chunk[v])
-			}
-		})
-		return
-	}
-	if batch == 0 {
+	if batch <= 0 {
 		batch = sweep.DefaultBatchLines
 	}
 	sc.lines = vecs[0].AppendLines(rect, dim, sc.lines[:0])
@@ -252,9 +230,9 @@ func solveLocalLines(solver sweep.Solver, vecs []*grid.Grid, rect grid.Rect, dim
 				g.GatherLines(blk, panels[v])
 			}
 		}
-		bs.ForwardBatch(panels, nb, nil, nil)
+		solver.ForwardBatch(panels, nb, nil, nil)
 		if runBackward {
-			bs.BackwardBatch(panels, nb, nil, nil)
+			solver.BackwardBatch(panels, nb, nil, nil)
 		}
 		for v, g := range vecs {
 			if sweep.MaskOn(fwdW, v) || (runBackward && sweep.MaskOn(bwdW, v)) {
@@ -293,35 +271,24 @@ func (b *Block) wavefrontPass(r xport.Transport, solver sweep.Solver, vecs []*gr
 	chunkLen := rect.Hi[b.Dim] - rect.Lo[b.Dim]
 
 	// Collect this rank's line geometry once (identical ordering on all
-	// ranks: row-major over the full orthogonal extents). The batched path
-	// treats each grain block as one panel and marshals its carries
-	// directly in the line-major wire format, so the outgoing message
-	// payload IS the kernel's carryOut — no per-line copy.
-	sc := b.scratch(q)
-	bs, batched := solver.(sweep.BatchSolver)
-	batched = batched && b.Batch >= 0
-	var chunk [][]float64
-	var touched, written []bool
-	nv := solver.NumVecs()
+	// ranks: row-major over the full orthogonal extents). Each grain block
+	// is one panel whose carries are marshalled directly in the line-major
+	// wire format, so the outgoing message payload IS the kernel's carryOut
+	// — no per-line copy.
+	wc := &wfPassCtx{
+		sc: b.scratch(q), solver: solver, vecs: vecs, backward: backward,
+		flopsPerElem: flopsPerElem, chunkLen: chunkLen,
+	}
 	if vecs != nil {
-		sc.lines = vecs[0].AppendLines(rect, b.Dim, sc.lines[:0])
-		if batched {
-			touched, written = sweep.PassMasks(solver, backward)
-		} else {
-			chunk = sc.pan.Panels(nv, chunkLen)
-		}
+		wc.sc.lines = vecs[0].AppendLines(rect, b.Dim, wc.sc.lines[:0])
+		wc.touched, wc.written = sweep.PassMasks(solver, backward)
 	}
 
-	wc := &wfPassCtx{
-		sc: sc, solver: solver, bs: bs, batched: batched, backward: backward,
-		carryLen: carryLen, flopsPerElem: flopsPerElem, chunkLen: chunkLen,
-		nv: nv, chunk: chunk, touched: touched, written: written,
-	}
 	var preB, preI xport.Request
 	for m := range pp.Phases {
 		ph := &pp.Phases[m]
 		if ph.Boundary > 0 {
-			preB, preI = b.wavefrontOverlapPhase(r, wc, vecs, pp, m, preB, preI)
+			preB, preI = b.wavefrontOverlapPhase(r, wc, pp, m, preB, preI)
 			continue
 		}
 		first := ph.Tiles[0].LineOff
@@ -337,50 +304,7 @@ func (b *Block) wavefrontPass(r xport.Transport, solver sweep.Solver, vecs []*gr
 		if ph.SendTo >= 0 && carryLen > 0 && vecs != nil {
 			outBuf = r.GetPayload(count * carryLen)
 		}
-
-		if vecs != nil {
-			blk := sc.lines[first : first+count]
-			if batched {
-				panels := sc.pan.Panels(nv, count*chunkLen)
-				for v, g := range vecs {
-					if sweep.MaskOn(touched, v) {
-						g.GatherLines(blk, panels[v])
-					}
-				}
-				if backward {
-					bs.BackwardBatch(panels, count, inBuf, outBuf)
-				} else {
-					bs.ForwardBatch(panels, count, inBuf, outBuf)
-				}
-				for v, g := range vecs {
-					if sweep.MaskOn(written, v) {
-						g.ScatterLines(blk, panels[v])
-					}
-				}
-			} else {
-				for i := 0; i < count; i++ {
-					l := blk[i]
-					for v, g := range vecs {
-						g.Gather(l, chunk[v])
-					}
-					var cIn, cOut []float64
-					if inBuf != nil {
-						cIn = inBuf[i*carryLen : (i+1)*carryLen]
-					}
-					if outBuf != nil {
-						cOut = outBuf[i*carryLen : (i+1)*carryLen]
-					}
-					if backward {
-						solver.Backward(chunk, cIn, cOut)
-					} else {
-						solver.Forward(chunk, cIn, cOut)
-					}
-					for v, g := range vecs {
-						g.Scatter(l, chunk[v])
-					}
-				}
-			}
-		}
+		wc.solve(first, first+count, inBuf, outBuf)
 		// A received payload belongs to this rank once consumed; recycle it.
 		if inBuf != nil {
 			r.PutPayload(inBuf)
@@ -392,7 +316,46 @@ func (b *Block) wavefrontPass(r xport.Transport, solver sweep.Solver, vecs []*gr
 			r.Send(ph.SendTo, ph.SendTag, xport.Msg{Bytes: ph.SendBytes, Payload: outBuf})
 		}
 	}
-	sc.publish(r)
+	wc.sc.publish(r)
+}
+
+// wfPassCtx bundles one wavefront pass invocation's resolved locals, shared
+// by the strict block loop and the overlapped block executor.
+type wfPassCtx struct {
+	sc               *rankScratch
+	solver           sweep.Solver
+	vecs             []*grid.Grid
+	backward         bool
+	flopsPerElem     float64
+	chunkLen         int
+	touched, written []bool
+}
+
+// solve runs the pass over the rank's lines [lo, hi) in one panel; cIn and
+// cOut hold the lines' carries (either may be nil). Flops are charged by
+// the caller.
+func (wc *wfPassCtx) solve(lo, hi int, cIn, cOut []float64) {
+	if wc.vecs == nil || lo == hi {
+		return
+	}
+	count := hi - lo
+	blk := wc.sc.lines[lo:hi]
+	panels := wc.sc.pan.Panels(wc.solver.NumVecs(), count*wc.chunkLen)
+	for v, g := range wc.vecs {
+		if sweep.MaskOn(wc.touched, v) {
+			g.GatherLines(blk, panels[v])
+		}
+	}
+	if wc.backward {
+		wc.solver.BackwardBatch(panels, count, cIn, cOut)
+	} else {
+		wc.solver.ForwardBatch(panels, count, cIn, cOut)
+	}
+	for v, g := range wc.vecs {
+		if sweep.MaskOn(wc.written, v) {
+			g.ScatterLines(blk, panels[v])
+		}
+	}
 }
 
 // TransposeSweep performs the dynamic-block strategy for the partitioned

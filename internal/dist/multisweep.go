@@ -29,9 +29,8 @@ type MultiSweep struct {
 	Solver    sweep.Solver
 	Vecs      []*grid.Grid
 	Aggregate bool
-	// Batch is the panel width of the batched sweep kernels: 0 picks
-	// sweep.DefaultBatchLines, negative forces the scalar per-line path
-	// (the bit-identical oracle / "before" ablation).
+	// Batch is the panel width of the batched sweep kernels; values ≤ 0
+	// pick sweep.DefaultBatchLines.
 	Batch int
 	// Overlap is folded into the lazily compiled plan's Spec (ignored when
 	// Plan is pre-set): enabled, phases solve boundary lines first and post
@@ -122,32 +121,18 @@ func (s *MultiSweep) pass(r xport.Transport, dim int, backward bool) {
 		flopsPerElem = s.Solver.BackwardFlopsPerElement()
 	}
 	// Per-rank scratch: SoA panel arena and line geometry, reused across
-	// phases, passes and steps. The batched path packs each tile's lines
-	// into panels and reads/writes its carries directly in the line-major
-	// message payloads — the kernel's carry marshalling IS the wire format.
-	sc := &s.scratchBuf[q]
-	bs, batched := s.Solver.(sweep.BatchSolver)
-	batched = batched && s.Batch >= 0
-	batch := s.Batch
-	if batch <= 0 {
-		batch = sweep.DefaultBatchLines
-	}
-	nv := s.Solver.NumVecs()
-	var chunk, views [][]float64
-	var touched, written []bool
-	if s.Vecs != nil {
-		if batched {
-			touched, written = sweep.PassMasks(s.Solver, backward)
-		} else {
-			chunk = sc.pan.Panels(nv, env.Eta[dim])
-			views = sc.chunk.Views(nv)
-		}
-	}
+	// phases, passes and steps. Each tile's lines are packed into panels
+	// whose carries are read and written directly in the line-major message
+	// payloads — the kernel's carry marshalling IS the wire format.
 	pc := &msPassCtx{
-		sc: sc, dim: dim, backward: backward, carryLen: carryLen,
-		flopsPerElem: flopsPerElem, batch: batch, nv: nv, bs: bs,
-		batched: batched, touched: touched, written: written,
-		chunk: chunk, views: views,
+		sc: &s.scratchBuf[q], dim: dim, backward: backward, carryLen: carryLen,
+		flopsPerElem: flopsPerElem, batch: s.Batch,
+	}
+	if pc.batch <= 0 {
+		pc.batch = sweep.DefaultBatchLines
+	}
+	if s.Vecs != nil {
+		pc.touched, pc.written = sweep.PassMasks(s.Solver, backward)
 	}
 
 	// Overlap-annotated phases run the boundary-first schedule; preB/preI
@@ -206,79 +191,7 @@ func (s *MultiSweep) pass(r xport.Transport, dim int, backward bool) {
 		}
 
 		// Compute this slab's tiles.
-		elements := 0
-		inOff, outOff := 0, 0
-		for ti := range ph.Tiles {
-			tg := &ph.Tiles[ti]
-			r.Compute(env.Overhead.PerTileVisit)
-			chunkLen := tg.ChunkLen
-			elements += chunkLen * tg.Lines
-			if s.Vecs == nil {
-				continue
-			}
-			rect := tg.Rect
-			if batched {
-				n := tg.Lines
-				sc.lines = s.Vecs[0].AppendLines(rect, dim, sc.lines[:0])
-				for s0 := 0; s0 < n; s0 += batch {
-					nb := min(batch, n-s0)
-					blk := sc.lines[s0 : s0+nb]
-					panels := sc.pan.Panels(nv, nb*chunkLen)
-					for v, g := range s.Vecs {
-						if sweep.MaskOn(touched, v) {
-							g.GatherLines(blk, panels[v])
-						}
-					}
-					var cIn, cOut []float64
-					if inBuf != nil {
-						cIn = inBuf[inOff+s0*carryLen : inOff+(s0+nb)*carryLen]
-					}
-					if outBuf != nil {
-						cOut = outBuf[outOff+s0*carryLen : outOff+(s0+nb)*carryLen]
-					}
-					if backward {
-						bs.BackwardBatch(panels, nb, cIn, cOut)
-					} else {
-						bs.ForwardBatch(panels, nb, cIn, cOut)
-					}
-					for v, g := range s.Vecs {
-						if sweep.MaskOn(written, v) {
-							g.ScatterLines(blk, panels[v])
-						}
-					}
-				}
-				if inBuf != nil {
-					inOff += n * carryLen
-				}
-				if outBuf != nil {
-					outOff += n * carryLen
-				}
-				continue
-			}
-			s.Vecs[0].EachLine(rect, dim, func(l grid.Line) {
-				for v, g := range s.Vecs {
-					g.Gather(l, chunk[v][:chunkLen])
-					views[v] = chunk[v][:chunkLen]
-				}
-				var cIn, cOut []float64
-				if inBuf != nil {
-					cIn = inBuf[inOff : inOff+carryLen]
-					inOff += carryLen
-				}
-				if outBuf != nil {
-					cOut = outBuf[outOff : outOff+carryLen]
-					outOff += carryLen
-				}
-				if backward {
-					s.Solver.Backward(views, cIn, cOut)
-				} else {
-					s.Solver.Forward(views, cIn, cOut)
-				}
-				for v, g := range s.Vecs {
-					g.Scatter(l, chunk[v][:chunkLen])
-				}
-			})
-		}
+		elements := s.solveLineRange(r, pc, ph, 0, lines, inBuf, outBuf)
 		if pooledIn {
 			r.PutPayload(inBuf)
 		}
@@ -304,5 +217,76 @@ func (s *MultiSweep) pass(r xport.Transport, dim int, backward bool) {
 			}
 		}
 	}
-	sc.publish(r)
+	pc.sc.publish(r)
+}
+
+// msPassCtx bundles one pass invocation's resolved locals so the strict
+// loop and the overlapped phase executor share them without re-deriving.
+type msPassCtx struct {
+	sc               *rankScratch
+	dim              int
+	backward         bool
+	carryLen         int
+	flopsPerElem     float64
+	batch            int
+	touched, written []bool
+}
+
+// solveLineRange computes the phase's canonical lines in [gLo, gHi),
+// clipping each tile to the range. cInBuf/cOutBuf hold the range's carries,
+// indexed from gLo (line g's carry block starts at (g−gLo)·carryLen). Tiles
+// intersecting the range pay PerTileVisit per visit — a tile straddling the
+// split is visited twice. Returns the elements computed; the caller charges
+// the flops so boundary and interior compute appear as separate intervals.
+func (s *MultiSweep) solveLineRange(r xport.Transport, pc *msPassCtx, ph *plan.Phase, gLo, gHi int, cInBuf, cOutBuf []float64) int {
+	env := s.Env
+	carryLen := pc.carryLen
+	nv := s.Solver.NumVecs()
+	elements := 0
+	for ti := range ph.Tiles {
+		tg := &ph.Tiles[ti]
+		lo := max(gLo, tg.LineOff)
+		hi := min(gHi, tg.LineOff+tg.Lines)
+		if lo >= hi {
+			continue
+		}
+		r.Compute(env.Overhead.PerTileVisit)
+		chunkLen := tg.ChunkLen
+		elements += (hi - lo) * chunkLen
+		if s.Vecs == nil {
+			continue
+		}
+		sc := pc.sc
+		sc.lines = s.Vecs[0].AppendLines(tg.Rect, pc.dim, sc.lines[:0])
+		tLo, tHi := lo-tg.LineOff, hi-tg.LineOff
+		for s0 := tLo; s0 < tHi; s0 += pc.batch {
+			nb := min(pc.batch, tHi-s0)
+			blk := sc.lines[s0 : s0+nb]
+			panels := sc.pan.Panels(nv, nb*chunkLen)
+			for v, g := range s.Vecs {
+				if sweep.MaskOn(pc.touched, v) {
+					g.GatherLines(blk, panels[v])
+				}
+			}
+			var cIn, cOut []float64
+			c0 := tg.LineOff + s0 - gLo
+			if cInBuf != nil {
+				cIn = cInBuf[c0*carryLen : (c0+nb)*carryLen]
+			}
+			if cOutBuf != nil {
+				cOut = cOutBuf[c0*carryLen : (c0+nb)*carryLen]
+			}
+			if pc.backward {
+				s.Solver.BackwardBatch(panels, nb, cIn, cOut)
+			} else {
+				s.Solver.ForwardBatch(panels, nb, cIn, cOut)
+			}
+			for v, g := range s.Vecs {
+				if sweep.MaskOn(pc.written, v) {
+					g.ScatterLines(blk, panels[v])
+				}
+			}
+		}
+	}
+	return elements
 }

@@ -1,7 +1,6 @@
 package dmem
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,15 +11,37 @@ import (
 )
 
 // strictIdentityGrids builds the global reference system for one solver: a
-// diagonally dominant random banded system (band entries reaching outside a
-// line along dim zeroed) or the [a, x] pair of the first-order recurrence.
+// diagonally dominant random banded or block tridiagonal system (entries
+// coupling past a line end along dim zeroed) or the [a, x] pair of the
+// first-order recurrence.
 func strictIdentityGrids(rng *rand.Rand, solver sweep.Solver, eta []int, dim int) []*grid.Grid {
-	if _, ok := solver.(sweep.Recurrence); ok {
+	n := eta[dim]
+	switch sv := solver.(type) {
+	case sweep.Recurrence:
 		a := grid.New(eta...)
 		x := grid.New(eta...)
 		a.FillFunc(func([]int) float64 { return rng.Float64()*1.6 - 0.8 })
 		x.FillFunc(func([]int) float64 { return rng.Float64()*4 - 2 })
 		return []*grid.Grid{a, x}
+	case sweep.BlockTridiag:
+		b, bb := sv.B, sv.B*sv.B
+		gs := make([]*grid.Grid, sv.NumVecs())
+		for v := range gs {
+			gs[v] = grid.New(eta...)
+			v := v
+			gs[v].FillFunc(func(idx []int) float64 {
+				switch {
+				case v < bb && idx[dim] == 0, v >= 2*bb && v < 3*bb && idx[dim] == n-1:
+					return 0 // A at a line's first element, C at its last
+				case v >= bb && v < 2*bb && (v-bb)/b == (v-bb)%b:
+					return 3 + rng.Float64() // dominant diagonal of B
+				case v >= 3*bb:
+					return rng.Float64()*10 - 5
+				}
+				return rng.Float64()*0.4 - 0.2
+			})
+		}
+		return gs
 	}
 	kl, ku := 1, 1
 	if sv, ok := solver.(sweep.Banded); ok {
@@ -30,7 +51,6 @@ func strictIdentityGrids(rng *rand.Rand, solver sweep.Solver, eta []int, dim int
 	for i := range gs {
 		gs[i] = grid.New(eta...)
 	}
-	n := eta[dim]
 	for k := 1; k <= kl; k++ {
 		k := k
 		gs[k-1].FillFunc(func(idx []int) float64 {
@@ -54,16 +74,37 @@ func strictIdentityGrids(rng *rand.Rand, solver sweep.Solver, eta []int, dim int
 	return gs
 }
 
-// TestSweepRunnerBatchBitIdentical proves the strict runner's batched path
-// (including the PassAccess masks that skip untouched gathers and unwritten
-// scatters) produces bitwise-identical results to the scalar per-line oracle
-// for every kernel family, sweep dimension, and panel width — on odd extents
-// so partial panels are exercised.
+// serialLines is the oracle: sweep.ChunkedSolve over every whole global
+// line along dim, on clones of gs.
+func serialLines(solver sweep.Solver, gs []*grid.Grid, dim int) []*grid.Grid {
+	out := make([]*grid.Grid, len(gs))
+	line := make([][]float64, len(gs))
+	for v, g := range gs {
+		out[v] = g.Clone()
+		line[v] = make([]float64, g.Shape()[dim])
+	}
+	out[0].EachLine(out[0].Bounds(), dim, func(l grid.Line) {
+		for v, g := range out {
+			g.Gather(l, line[v])
+		}
+		sweep.ChunkedSolve(solver, line, nil)
+		for v, g := range out {
+			g.Scatter(l, line[v])
+		}
+	})
+	return out
+}
+
+// TestSweepRunnerBatchBitIdentical proves the strict runner (including the
+// PassAccess masks that skip untouched gathers and unwritten scatters)
+// reproduces the serial whole-line scalar solve bit for bit, for every
+// kernel family, sweep dimension, and panel width — on odd extents so
+// partial panels are exercised.
 func TestSweepRunnerBatchBitIdentical(t *testing.T) {
 	p, gamma, eta := 8, []int{4, 4, 2}, []int{16, 13, 9}
 	env := mustEnv(t, p, gamma, eta)
 	rng := rand.New(rand.NewSource(21))
-	for _, solver := range []sweep.Solver{sweep.Recurrence{}, sweep.Tridiag{}, sweep.NewPenta()} {
+	for _, solver := range []sweep.Solver{sweep.Recurrence{}, sweep.Tridiag{}, sweep.NewPenta(), sweep.NewBlockTridiag(5)} {
 		for dim := range eta {
 			gs := strictIdentityGrids(rng, solver, eta, dim)
 			run := func(batch int) []*grid.Grid {
@@ -89,15 +130,15 @@ func TestSweepRunnerBatchBitIdentical(t *testing.T) {
 				}
 				return out
 			}
-			want := run(-1)
+			want := serialLines(solver, gs, dim)
 			for _, batch := range []int{1, 7, 64} {
 				got := run(batch)
 				for v := range want {
 					wd, gd := want[v].Data(), got[v].Data()
 					for i := range wd {
 						if math.Float64bits(wd[i]) != math.Float64bits(gd[i]) {
-							t.Fatal(fmt.Sprintf("%s dim %d batch %d: vec %d element %d: scalar %v vs batched %v",
-								solver.Name(), dim, batch, v, i, wd[i], gd[i]))
+							t.Fatalf("%s dim %d batch %d: vec %d element %d: serial %v vs runner %v",
+								solver.Name(), dim, batch, v, i, wd[i], gd[i])
 						}
 					}
 				}

@@ -289,24 +289,33 @@ func TestStrictADIMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestStrictBTMatchesSerial: strict BT reproduces the serial whole-line
+// reference to the last bit — the batched block kernels perform the scalar
+// arithmetic in the scalar order, and carries hand over the running state
+// unchanged.
 func TestStrictBTMatchesSerial(t *testing.T) {
-	p := 4
-	gamma := []int{2, 2, 2}
-	eta := []int{10, 10, 10}
+	eta := []int{12, 12, 12}
 	steps := 2
 	want := nas.InitialState(eta)
 	nas.BTSerialSolve(want, steps)
-
-	env := mustEnv(t, p, gamma, eta)
-	got, res, err := RunBT(env, testMachine(p), steps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := grid.MaxAbsDiff(want, got); d > 1e-8 {
-		t.Errorf("strict BT differs from serial by %g", d)
-	}
-	if res.TotalBytes() == 0 {
-		t.Error("strict BT moved no bytes")
+	for _, c := range []struct {
+		p     int
+		gamma []int
+	}{{2, []int{1, 2, 2}}, {4, []int{2, 2, 2}}, {6, []int{2, 3, 6}}} {
+		env := mustEnv(t, c.p, c.gamma, eta)
+		got, res, err := RunBT(env, testMachine(c.p), steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wd, gd := want.Data(), got.Data()
+		for i := range wd {
+			if math.Float64bits(wd[i]) != math.Float64bits(gd[i]) {
+				t.Fatalf("p=%d γ=%v: element %d: strict BT %v vs serial %v", c.p, c.gamma, i, gd[i], wd[i])
+			}
+		}
+		if res.TotalBytes() == 0 {
+			t.Errorf("p=%d: strict BT moved no bytes", c.p)
+		}
 	}
 }
 

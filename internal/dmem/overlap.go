@@ -11,26 +11,8 @@ package dmem
 import (
 	"genmp/internal/dist"
 	"genmp/internal/plan"
-	"genmp/internal/sweep"
 	"genmp/internal/xport"
 )
-
-// dmPassCtx bundles one pass invocation's resolved locals shared by the
-// strict loop and the overlapped phase executor.
-type dmPassCtx struct {
-	binds        [][]tileBind
-	backward     bool
-	carryLen     int
-	flopsPerElem float64
-	batch        int
-	nv           int
-	bs           sweep.BatchSolver
-	batched      bool
-	touched      []bool
-	written      []bool
-	chunk        [][]float64
-	views        [][]float64
-}
 
 // overlapPhase adapts the strict runtime's solve kernel to the shared
 // executor. preB/preI are receive requests preposted by the previous phase
@@ -48,81 +30,4 @@ func (sr *SweepRunner) overlapPhase(r xport.Transport, pc *dmPassCtx, pp *plan.P
 			r.ComputeFlops(pc.flopsPerElem * float64(elems) * env.Overhead.ComputeFactor)
 		},
 	}, preB, preI)
-}
-
-// solveLineRange computes the phase's canonical lines in [gLo, gHi) over
-// this rank's bound tile storage, clipping each tile to the range.
-// cInBuf/cOutBuf hold the range's carries indexed from gLo. Tiles
-// intersecting the range pay PerTileVisit per visit; the caller charges the
-// flops so boundary and interior compute appear as separate intervals.
-func (sr *SweepRunner) solveLineRange(r xport.Transport, pc *dmPassCtx, ph *plan.Phase, k, gLo, gHi int, cInBuf, cOutBuf []float64) int {
-	fields := sr.Fields
-	env := fields[0].Env
-	carryLen := pc.carryLen
-	elements := 0
-	for ti := range ph.Tiles {
-		t := &ph.Tiles[ti]
-		lo := max(gLo, t.LineOff)
-		hi := min(gHi, t.LineOff+t.Lines)
-		if lo >= hi {
-			continue
-		}
-		tb := &pc.binds[k][ti]
-		r.Compute(env.Overhead.PerTileVisit)
-		elements += (hi - lo) * t.ChunkLen
-		tLo, tHi := lo-t.LineOff, hi-t.LineOff
-		if pc.batched {
-			for s0 := tLo; s0 < tHi; s0 += pc.batch {
-				nb := min(pc.batch, tHi-s0)
-				panels := sr.pan.Panels(pc.nv, nb*t.ChunkLen)
-				for v, f := range fields {
-					if sweep.MaskOn(pc.touched, v) {
-						f.TileGrid(tb.local).GatherLines(tb.geom[v][s0:s0+nb], panels[v])
-					}
-				}
-				var cIn, cOut []float64
-				c0 := t.LineOff + s0 - gLo
-				if cInBuf != nil {
-					cIn = cInBuf[c0*carryLen : (c0+nb)*carryLen]
-				}
-				if cOutBuf != nil {
-					cOut = cOutBuf[c0*carryLen : (c0+nb)*carryLen]
-				}
-				if pc.backward {
-					pc.bs.BackwardBatch(panels, nb, cIn, cOut)
-				} else {
-					pc.bs.ForwardBatch(panels, nb, cIn, cOut)
-				}
-				for v, f := range fields {
-					if sweep.MaskOn(pc.written, v) {
-						f.TileGrid(tb.local).ScatterLines(tb.geom[v][s0:s0+nb], panels[v])
-					}
-				}
-			}
-			continue
-		}
-		for li := tLo; li < tHi; li++ {
-			for v, f := range fields {
-				f.TileGrid(tb.local).Gather(tb.geom[v][li], pc.chunk[v][:t.ChunkLen])
-				pc.views[v] = pc.chunk[v][:t.ChunkLen]
-			}
-			var cIn, cOut []float64
-			c0 := t.LineOff + li - gLo
-			if cInBuf != nil {
-				cIn = cInBuf[c0*carryLen : (c0+1)*carryLen]
-			}
-			if cOutBuf != nil {
-				cOut = cOutBuf[c0*carryLen : (c0+1)*carryLen]
-			}
-			if pc.backward {
-				sr.Solver.Backward(pc.views, cIn, cOut)
-			} else {
-				sr.Solver.Forward(pc.views, cIn, cOut)
-			}
-			for v, f := range fields {
-				f.TileGrid(tb.local).Scatter(tb.geom[v][li], pc.chunk[v][:t.ChunkLen])
-			}
-		}
-	}
-	return elements
 }

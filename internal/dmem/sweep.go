@@ -23,9 +23,8 @@ import (
 type SweepRunner struct {
 	Solver sweep.Solver
 	Fields []*Field
-	// Batch is the panel width of the batched sweep kernels: 0 picks
-	// sweep.DefaultBatchLines, negative forces the scalar per-line path
-	// (the bit-identical oracle / "before" ablation).
+	// Batch is the panel width of the batched sweep kernels; values ≤ 0
+	// pick sweep.DefaultBatchLines.
 	Batch int
 	// Overlap is folded into the lazily compiled plan's Spec (ignored when
 	// Plan is pre-set — use CompileSweepPlanOverlap for the shared
@@ -37,8 +36,7 @@ type SweepRunner struct {
 	// runners instead of compiling the full O(p) schedule per rank.
 	Plan *plan.SweepPlan
 
-	pan   sweep.Workspace // SoA panel arena (batched) / chunk buffers (scalar)
-	views sweep.Workspace // view headers of the scalar path
+	pan   sweep.Workspace // SoA panel arena
 	pub   sweep.WorkspacePublisher
 	binds map[int][][]tileBind
 }
@@ -47,12 +45,7 @@ type SweepRunner struct {
 // warmed arenas the hit rate is 1. Runners are per-rank, so read it only
 // after the owning rank has finished.
 func (sr *SweepRunner) WorkspaceStats() sweep.WorkspaceStats {
-	var out sweep.WorkspaceStats
-	for _, s := range []sweep.WorkspaceStats{sr.pan.Stats(), sr.views.Stats()} {
-		out.Gets += s.Gets
-		out.Hits += s.Hits
-	}
-	return out
+	return sr.pan.Stats()
 }
 
 // tileBind binds one plan tile to this rank's storage: the local tile
@@ -143,7 +136,7 @@ func (sr *SweepRunner) Run(r xport.Transport, dim int) {
 	if sr.Solver.BackwardCarryLen() > 0 || sr.Solver.BackwardFlopsPerElement() > 0 {
 		sr.pass(r, dim, true)
 	}
-	sr.pub.Publish(r.MetricsRegistry(), &sr.pan, &sr.views)
+	sr.pub.Publish(r.MetricsRegistry(), &sr.pan)
 }
 
 // bindings returns the storage binding of the plan's (dim, backward) pass
@@ -208,27 +201,14 @@ func (sr *SweepRunner) pass(r xport.Transport, dim int, backward bool) {
 		flopsPerElem = solver.BackwardFlopsPerElement()
 	}
 
-	bs, batched := solver.(sweep.BatchSolver)
-	batched = batched && sr.Batch >= 0
-	batch := sr.Batch
-	if batch <= 0 {
-		batch = sweep.DefaultBatchLines
-	}
-	nv := len(fields)
-	var chunk, views [][]float64
-	var touched, written []bool
-	if batched {
-		touched, written = sweep.PassMasks(solver, backward)
-	} else {
-		chunk = sr.pan.Panels(nv, env.Eta[dim])
-		views = sr.views.Views(nv)
-	}
 	pc := &dmPassCtx{
 		binds: binds, backward: backward, carryLen: carryLen,
-		flopsPerElem: flopsPerElem, batch: batch, nv: nv, bs: bs,
-		batched: batched, touched: touched, written: written,
-		chunk: chunk, views: views,
+		flopsPerElem: flopsPerElem, batch: sr.Batch,
 	}
+	if pc.batch <= 0 {
+		pc.batch = sweep.DefaultBatchLines
+	}
+	pc.touched, pc.written = sweep.PassMasks(solver, backward)
 
 	// Overlap-annotated phases run the boundary-first schedule; preB/preI
 	// carry receive requests preposted for the next phase.
@@ -254,74 +234,7 @@ func (sr *SweepRunner) pass(r xport.Transport, dim int, backward bool) {
 			outBuf = r.GetPayload(ph.Lines * carryLen)
 		}
 
-		elements := 0
-		inOff, outOff := 0, 0
-		for ti := range ph.Tiles {
-			t := &ph.Tiles[ti]
-			tb := &binds[k][ti]
-			r.Compute(env.Overhead.PerTileVisit)
-			elements += t.ChunkLen * t.Lines
-
-			if batched {
-				for s0 := 0; s0 < t.Lines; s0 += batch {
-					nb := min(batch, t.Lines-s0)
-					panels := sr.pan.Panels(nv, nb*t.ChunkLen)
-					for v, f := range fields {
-						if sweep.MaskOn(touched, v) {
-							f.TileGrid(tb.local).GatherLines(tb.geom[v][s0:s0+nb], panels[v])
-						}
-					}
-					var cIn, cOut []float64
-					if inBuf != nil {
-						cIn = inBuf[inOff+s0*carryLen : inOff+(s0+nb)*carryLen]
-					}
-					if outBuf != nil {
-						cOut = outBuf[outOff+s0*carryLen : outOff+(s0+nb)*carryLen]
-					}
-					if backward {
-						bs.BackwardBatch(panels, nb, cIn, cOut)
-					} else {
-						bs.ForwardBatch(panels, nb, cIn, cOut)
-					}
-					for v, f := range fields {
-						if sweep.MaskOn(written, v) {
-							f.TileGrid(tb.local).ScatterLines(tb.geom[v][s0:s0+nb], panels[v])
-						}
-					}
-				}
-				if inBuf != nil {
-					inOff += t.Lines * carryLen
-				}
-				if outBuf != nil {
-					outOff += t.Lines * carryLen
-				}
-				continue
-			}
-
-			for li := 0; li < t.Lines; li++ {
-				for v, f := range fields {
-					f.TileGrid(tb.local).Gather(tb.geom[v][li], chunk[v][:t.ChunkLen])
-					views[v] = chunk[v][:t.ChunkLen]
-				}
-				var cIn, cOut []float64
-				if inBuf != nil {
-					cIn = inBuf[inOff : inOff+carryLen]
-					inOff += carryLen
-				}
-				if outBuf != nil {
-					cOut = outBuf[outOff : outOff+carryLen]
-					outOff += carryLen
-				}
-				if backward {
-					solver.Backward(views, cIn, cOut)
-				} else {
-					solver.Forward(views, cIn, cOut)
-				}
-				for v, f := range fields {
-					f.TileGrid(tb.local).Scatter(tb.geom[v][li], chunk[v][:t.ChunkLen])
-				}
-			}
-		}
+		elements := sr.solveLineRange(r, pc, ph, k, 0, ph.Lines, inBuf, outBuf)
 		if inBuf != nil {
 			r.PutPayload(inBuf)
 		}
@@ -332,4 +245,67 @@ func (sr *SweepRunner) pass(r xport.Transport, dim int, backward bool) {
 			r.Send(ph.SendTo, ph.SendTag, xport.Msg{Bytes: ph.SendBytes, Payload: outBuf})
 		}
 	}
+}
+
+// dmPassCtx bundles one pass invocation's resolved locals shared by the
+// strict loop and the overlapped phase executor.
+type dmPassCtx struct {
+	binds            [][]tileBind
+	backward         bool
+	carryLen         int
+	flopsPerElem     float64
+	batch            int
+	touched, written []bool
+}
+
+// solveLineRange computes the phase's canonical lines in [gLo, gHi) over
+// this rank's bound tile storage, clipping each tile to the range.
+// cInBuf/cOutBuf hold the range's carries indexed from gLo. Tiles
+// intersecting the range pay PerTileVisit per visit; the caller charges the
+// flops so boundary and interior compute appear as separate intervals.
+func (sr *SweepRunner) solveLineRange(r xport.Transport, pc *dmPassCtx, ph *plan.Phase, k, gLo, gHi int, cInBuf, cOutBuf []float64) int {
+	fields := sr.Fields
+	env := fields[0].Env
+	carryLen := pc.carryLen
+	elements := 0
+	for ti := range ph.Tiles {
+		t := &ph.Tiles[ti]
+		lo := max(gLo, t.LineOff)
+		hi := min(gHi, t.LineOff+t.Lines)
+		if lo >= hi {
+			continue
+		}
+		tb := &pc.binds[k][ti]
+		r.Compute(env.Overhead.PerTileVisit)
+		elements += (hi - lo) * t.ChunkLen
+		tLo, tHi := lo-t.LineOff, hi-t.LineOff
+		for s0 := tLo; s0 < tHi; s0 += pc.batch {
+			nb := min(pc.batch, tHi-s0)
+			panels := sr.pan.Panels(len(fields), nb*t.ChunkLen)
+			for v, f := range fields {
+				if sweep.MaskOn(pc.touched, v) {
+					f.TileGrid(tb.local).GatherLines(tb.geom[v][s0:s0+nb], panels[v])
+				}
+			}
+			var cIn, cOut []float64
+			c0 := t.LineOff + s0 - gLo
+			if cInBuf != nil {
+				cIn = cInBuf[c0*carryLen : (c0+nb)*carryLen]
+			}
+			if cOutBuf != nil {
+				cOut = cOutBuf[c0*carryLen : (c0+nb)*carryLen]
+			}
+			if pc.backward {
+				sr.Solver.BackwardBatch(panels, nb, cIn, cOut)
+			} else {
+				sr.Solver.ForwardBatch(panels, nb, cIn, cOut)
+			}
+			for v, f := range fields {
+				if sweep.MaskOn(pc.written, v) {
+					f.TileGrid(tb.local).ScatterLines(tb.geom[v][s0:s0+nb], panels[v])
+				}
+			}
+		}
+	}
+	return elements
 }

@@ -1,13 +1,16 @@
 package exp
 
 import (
+	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"genmp/internal/adi"
 	"genmp/internal/dmem"
 	"genmp/internal/nas"
 	"genmp/internal/obs"
+	"genmp/internal/partition"
 	"genmp/internal/plan"
 	"genmp/internal/rt"
 	"genmp/internal/sweep"
@@ -71,12 +74,25 @@ func TestRTShippedPlan(t *testing.T) {
 	sameBits(t, "sp-shipped", want, got)
 }
 
-// TestRTBitIdentityBT: strict BT (5×5 block carries), sim vs rt, p ∈ {4, 16}.
+// TestRTBitIdentityBT: strict BT (5×5 block carries), sim vs rt, at
+// p ∈ {4, 16} and at p ∈ {2, 3, 6} with γ from the partition search — the
+// lattice points where tiles along one dimension are 1 or 2 cells thick.
 func TestRTBitIdentityBT(t *testing.T) {
 	eta := []int{12, 12, 12}
-	for _, p := range []int{4, 16} {
+	gammas := map[int][]int{4: overlapGamma[4], 16: overlapGamma[16]}
+	for p, want := range map[int][]int{2: {1, 2, 2}, 3: {1, 3, 3}, 6: {2, 3, 6}} {
+		res, err := partition.OptimalCapped(p, len(eta), partition.VolumeObjective(eta), eta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(res.Gamma, want) {
+			t.Fatalf("p=%d: partition search picked γ=%v, want %v", p, res.Gamma, want)
+		}
+		gammas[p] = res.Gamma
+	}
+	for _, p := range []int{2, 3, 4, 6, 16} {
 		for _, o := range []plan.Overlap{{}, overlapOn} {
-			env := overlapEnv(t, p, overlapGamma[p], eta)
+			env := overlapEnv(t, p, gammas[p], eta)
 			want, _, err := dmem.RunBTOverlap(env, nas.Origin2000Machine(p), 2, o)
 			if err != nil {
 				t.Fatal(err)
@@ -85,7 +101,7 @@ func TestRTBitIdentityBT(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameBits(t, "bt-rt", want, got)
+			sameBits(t, fmt.Sprintf("bt-rt p=%d overlap=%v", p, o.Enabled), want, got)
 		}
 	}
 }

@@ -49,8 +49,7 @@ type Spec struct {
 	// executor's fields are unpadded or shared).
 	Halos []int
 	// Batch is the executor's kernel panel-width knob, recorded for the
-	// dump (0 = default, negative = scalar oracle). It does not affect the
-	// schedule.
+	// dump (values ≤ 0 = default). It does not affect the schedule.
 	Batch int
 	// Tags is the tag space messages are minted from; the zero value picks
 	// SweepTags.

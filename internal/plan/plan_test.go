@@ -85,7 +85,7 @@ func TestCompileMultipartition(t *testing.T) {
 	// Fingerprints are deterministic and ignore the Halos/Batch metadata.
 	m2, _ := core.NewGeneralized(4, []int{2, 2, 4})
 	pl2, err := plan.Compile(plan.Spec{M: m2, Eta: []int{12, 12, 12}, Solver: sweep.NewPenta(),
-		Halos: []int{2, 2, 2, 2, 2, 2}, Batch: -1})
+		Halos: []int{2, 2, 2, 2, 2, 2}, Batch: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

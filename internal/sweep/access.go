@@ -70,6 +70,28 @@ func (bd Banded) BackwardAccess() (touched, written []bool) {
 	return touched, written
 }
 
+// ForwardAccess implements PassAccess: the forward pass reads every block
+// and F but stores only C′ and F′ (B is copied into a scratch factor).
+func (s BlockTridiag) ForwardAccess() (touched, written []bool) {
+	written, _ = s.BackwardAccess()
+	return nil, written
+}
+
+// BackwardAccess implements PassAccess: back-substitution reads C′ and F′
+// (vectors 2B² on) and stores the solution into F (vectors 3B² on). The
+// forward pass writes what the backward pass touches.
+func (s BlockTridiag) BackwardAccess() (touched, written []bool) {
+	bb := s.B * s.B
+	nv := s.NumVecs()
+	touched = make([]bool, nv)
+	written = make([]bool, nv)
+	for v := 2 * bb; v < nv; v++ {
+		touched[v] = true
+		written[v] = v >= 3*bb
+	}
+	return touched, written
+}
+
 // MaskOn reports whether a mask admits vector v (nil means "all").
 func MaskOn(mask []bool, v int) bool { return mask == nil || mask[v] }
 

@@ -26,7 +26,14 @@ import "fmt"
 // Solver processes chunks of 1-D lines with carries. Vecs is a solver-
 // specific list of equal-length slices (see each implementation); the
 // solution is produced in place.
+//
+// Every solver has both forms of each pass: the batched panel passes of
+// BatchSolver, which all executors run, and the scalar per-line
+// Forward/Backward, which serve as the reference the batched passes are
+// checked against bit for bit (ChunkedSolve, the serial solves of the
+// applications, and the kernel identity tests).
 type Solver interface {
+	BatchSolver
 	// Name identifies the solver in diagnostics.
 	Name() string
 	// NumVecs returns how many per-line arrays the solver operates on.
