@@ -85,13 +85,16 @@ func btBody(env *dist.Env, solver sweep.Solver, sweepPlan *plan.SweepPlan, steps
 		u := NewField(env, t.Rank(), haloDepth)
 		u.FillFunc(initialAt(env.Eta))
 		rhs := NewField(env, t.Rank(), 0)
+		// The fill supplies the A, B and C blocks; the backward pass reads
+		// only C′ and F, so A and B get no field.
 		vecs := make([]*Field, solver.NumVecs())
-		for v := range vecs {
+		for v := 2 * bb; v < len(vecs); v++ {
 			vecs[v] = NewField(env, t.Rank(), 0)
 		}
 		fvecs := vecs[3*bb:]
 		runner := NewSweepRunner(solver, vecs)
 		runner.Plan = sweepPlan
+		runner.Fill = btPanelFill()
 
 		var haloPre []xport.Request
 		for step := 0; step < steps; step++ {
@@ -101,7 +104,8 @@ func btBody(env *dist.Env, solver sweep.Solver, sweepPlan *plan.SweepPlan, steps
 			strictScatterBTRHS(rhs, fvecs)
 			t.ComputeFlops(nas.BTFlopsRHS * float64(ownedElements(u)) * env.Overhead.ComputeFactor)
 			for dim := range env.Eta {
-				strictBuildBTLHS(dim, env.Eta[dim], vecs)
+				// The blocks are built inside the sweep, by the fill; the
+				// charge stays here so virtual time does not move.
 				t.ComputeFlops(nas.BTFlopsLHSBuild * float64(ownedElements(u)) * env.Overhead.ComputeFactor)
 				runner.Run(t, dim)
 			}
@@ -132,54 +136,27 @@ func strictScatterBTRHS(rhs *Field, fvecs []*Field) {
 	}
 }
 
-// strictBuildBTLHS assembles the block coefficients per owned tile from the
-// same global formula as nas.BuildBlockLHS.
-func strictBuildBTLHS(dim, n int, vecs []*Field) {
-	const b = nas.BTBlockSize
-	bb := b * b
-	f := vecs[0]
-	for i := 0; i < f.NumTiles(); i++ {
-		bnd := f.GlobalBounds(i)
-		start := bnd.Lo[dim]
-		data := make([][]float64, 3*bb)
-		for v := range data {
-			data[v] = vecs[v].TileGrid(i).Data()
-		}
-		ref := f.TileGrid(i)
-		ref.EachLine(f.InteriorRect(i), dim, func(l grid.Line) {
-			off := l.Base
-			for k := 0; k < l.N; k++ {
-				g := start + k
-				for r := 0; r < b; r++ {
-					rowSum := 0.0
-					for c := 0; c < b; c++ {
-						av, cv := 0.0, 0.0
-						if g >= 1 {
-							av = nas.BTCoeff(g+dim, r, c, 0)
-						}
-						if g < n-1 {
-							cv = nas.BTCoeff(g+dim, r, c, 1)
-						}
-						data[r*b+c][off] = av
-						data[2*bb+r*b+c][off] = cv
-						rowSum += abs(av) + abs(cv)
-						if c != r {
-							bv := nas.BTCoeff(g+dim, r, c, 2)
-							data[bb+r*b+c][off] = bv
-							rowSum += abs(bv)
-						}
-					}
-					data[bb+r*b+r][off] = rowSum + 1.5
-				}
-				off += l.Stride
-			}
-		})
+// btPanelFill supplies the A, B and C blocks of BT's forward pass: every
+// vector but the B right-hand-side components.
+func btPanelFill() PanelFill {
+	const blocks = 3 * nas.BTBlockSize * nas.BTBlockSize
+	vecs := make([]bool, blocks+nas.BTBlockSize)
+	for v := range blocks {
+		vecs[v] = true
 	}
+	return PanelFill{Vecs: vecs, Func: fillBTPanels}
 }
 
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
+// fillBTPanels writes the A, B and C blocks of each row from
+// nas.BTBlockRow, computed once per row and broadcast across the nb lanes.
+func fillBTPanels(dim, g0, nb, n int, panels [][]float64) {
+	var row [3 * nas.BTBlockSize * nas.BTBlockSize]float64
+	rows := len(panels[0]) / nb
+	for k := 0; k < rows; k++ {
+		nas.BTBlockRow(g0+k, dim, n, &row)
+		lo := k * nb
+		for v, x := range row {
+			fillLanes(panels[v][lo:lo+nb], x)
+		}
 	}
-	return v
 }

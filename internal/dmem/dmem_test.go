@@ -3,6 +3,7 @@ package dmem
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"genmp/internal/adi"
@@ -11,6 +12,7 @@ import (
 	"genmp/internal/grid"
 	"genmp/internal/nas"
 	"genmp/internal/numutil"
+	"genmp/internal/partition"
 	"genmp/internal/sim"
 	"genmp/internal/sweep"
 )
@@ -229,14 +231,27 @@ func TestStrictSweepMatchesSerial(t *testing.T) {
 }
 
 func TestStrictSPMatchesSerial(t *testing.T) {
-	cases := []struct {
-		p     int
-		gamma []int
-		eta   []int
-	}{
+	type spCase struct {
+		p          int
+		gamma, eta []int
+	}
+	cases := []spCase{
 		{4, []int{2, 2, 2}, []int{12, 12, 12}},
 		{8, []int{4, 4, 2}, []int{12, 12, 12}},
 		{6, []int{6, 6, 1}, []int{12, 13, 7}},
+	}
+	// The partition search's own picks on 12³, where tiles along one
+	// dimension are 2 cells thick at p = 6.
+	eta := []int{12, 12, 12}
+	for p, want := range map[int][]int{2: {1, 2, 2}, 3: {1, 3, 3}, 6: {2, 3, 6}} {
+		res, err := partition.OptimalCapped(p, len(eta), partition.VolumeObjective(eta), eta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(res.Gamma, want) {
+			t.Fatalf("p=%d: partition search picked γ=%v, want %v", p, res.Gamma, want)
+		}
+		cases = append(cases, spCase{p, res.Gamma, eta})
 	}
 	for _, c := range cases {
 		steps := 3
@@ -251,8 +266,11 @@ func TestStrictSPMatchesSerial(t *testing.T) {
 		if got == nil {
 			t.Fatal("no gathered grid")
 		}
-		if d := grid.MaxAbsDiff(want, got); d > 1e-9 {
-			t.Errorf("p=%d γ=%v: strict SP differs from serial by %g", c.p, c.gamma, d)
+		wd, gd := want.Data(), got.Data()
+		for i := range wd {
+			if math.Float64bits(wd[i]) != math.Float64bits(gd[i]) {
+				t.Fatalf("p=%d γ=%v: element %d: strict SP %v vs serial %v", c.p, c.gamma, i, gd[i], wd[i])
+			}
 		}
 		if res.TotalBytes() == 0 {
 			t.Error("strict SP moved no bytes")

@@ -19,7 +19,7 @@ import (
 // (nil to post here); the return values are the next phase's preposted
 // requests.
 func (sr *SweepRunner) overlapPhase(r xport.Transport, pc *dmPassCtx, pp *plan.Pass, k int, preB, preI xport.Request) (nextB, nextI xport.Request) {
-	env := sr.Fields[0].Env
+	env := pc.env
 	ph := &pp.Phases[k]
 	return dist.OverlapPhase(r, dist.OverlapPhaseSpec{
 		Pass: pp, Phase: k,

@@ -96,13 +96,16 @@ func spBody(env *dist.Env, solver sweep.Solver, sweepPlan *plan.SweepPlan, steps
 	return func(t xport.Transport) {
 		u := NewField(env, t.Rank(), spHaloDepth)
 		u.FillFunc(initialAt(env.Eta))
+		// The fill supplies the five bands; the backward pass never reads
+		// the two lowers, so they get no field.
 		vecs := make([]*Field, solver.NumVecs())
-		for v := range vecs {
+		for v := spLowers; v < len(vecs); v++ {
 			vecs[v] = NewField(env, t.Rank(), 0)
 		}
 		rhs := vecs[5]
 		runner := NewSweepRunner(solver, vecs)
 		runner.Plan = sweepPlan
+		runner.Fill = spPanelFill()
 
 		var haloPre []xport.Request
 		for step := 0; step < steps; step++ {
@@ -112,7 +115,8 @@ func spBody(env *dist.Env, solver sweep.Solver, sweepPlan *plan.SweepPlan, steps
 			strictComputeRHS(u, rhs)
 			t.ComputeFlops(nas.FlopsRHS * float64(ownedElements(u)) * env.Overhead.ComputeFactor)
 			for dim := range env.Eta {
-				strictBuildLHS(dim, env.Eta[dim], vecs)
+				// The bands are built inside the sweep, by the fill; the
+				// charge stays here so virtual time does not move.
 				t.ComputeFlops(nas.FlopsLHSBuild * float64(ownedElements(u)) * env.Overhead.ComputeFactor)
 				runner.Run(t, dim)
 			}
@@ -125,6 +129,35 @@ func spBody(env *dist.Env, solver sweep.Solver, sweepPlan *plan.SweepPlan, steps
 		if g := GatherToRoot(t, u, xport.AlgAuto); g != nil {
 			*out = g
 		}
+	}
+}
+
+// spLowers is the number of sub-diagonal bands of SP's pentadiagonal
+// solve, vectors 0 and 1 of sweep.NewPenta.
+const spLowers = 2
+
+// spPanelFill supplies the five bands of SP's forward pass.
+func spPanelFill() PanelFill {
+	return PanelFill{Vecs: []bool{true, true, true, true, true, false}, Func: fillSPPanels}
+}
+
+// fillSPPanels writes the five pentadiagonal bands of each row from
+// nas.BandRow, computed once per row and broadcast across the nb lanes.
+func fillSPPanels(dim, g0, nb, n int, panels [][]float64) {
+	rows := len(panels[0]) / nb
+	for k := 0; k < rows; k++ {
+		l1, l2, dg, u1, u2 := nas.BandRow(g0+k, dim, n)
+		lo := k * nb
+		for v, x := range [5]float64{l1, l2, dg, u1, u2} {
+			fillLanes(panels[v][lo:lo+nb], x)
+		}
+	}
+}
+
+// fillLanes broadcasts x across one panel row.
+func fillLanes(row []float64, x float64) {
+	for i := range row {
+		row[i] = x
 	}
 }
 
@@ -205,37 +238,6 @@ func strictComputeRHS(u *Field, rhs *Field) {
 			global[d-1] -= l.N
 		})
 	}
-}
-
-// strictBuildLHS assembles the pentadiagonal bands over every owned tile
-// from the global row formula (identical to nas.BuildLHS).
-func strictBuildLHS(dim, n int, vecs []*Field) {
-	f := vecs[0]
-	d := len(f.Env.Eta)
-	for i := 0; i < f.NumTiles(); i++ {
-		b := f.GlobalBounds(i)
-		start := b.Lo[dim]
-		grids := make([]*grid.Grid, 5)
-		data := make([][]float64, 5)
-		for v := 0; v < 5; v++ {
-			grids[v] = vecs[v].TileGrid(i)
-			data[v] = grids[v].Data()
-		}
-		interior := vecs[0].InteriorRect(i)
-		grids[0].EachLine(interior, dim, func(l grid.Line) {
-			off := l.Base
-			for k := 0; k < l.N; k++ {
-				l1, l2, dg, u1, u2 := nas.BandRow(start+k, dim, n)
-				data[0][off] = l1
-				data[1][off] = l2
-				data[2][off] = dg
-				data[3][off] = u1
-				data[4][off] = u2
-				off += l.Stride
-			}
-		})
-	}
-	_ = d
 }
 
 // strictAdd folds rhs into u over every owned tile (different paddings).

@@ -22,7 +22,13 @@ import (
 // buffers, and line data moves through the reusable workspace panels.
 type SweepRunner struct {
 	Solver sweep.Solver
+	// Fields holds one field per solver vector. A vector that Fill
+	// supplies and the backward pass never reads needs no storage: its
+	// field may be nil (checked at the first Run).
 	Fields []*Field
+	// Fill, when its Func is set, generates the vectors it marks straight
+	// into the forward pass's panels instead of gathering them from Fields.
+	Fill PanelFill
 	// Batch is the panel width of the batched sweep kernels; values ≤ 0
 	// pick sweep.DefaultBatchLines.
 	Batch int
@@ -39,6 +45,29 @@ type SweepRunner struct {
 	pan   sweep.Workspace // SoA panel arena
 	pub   sweep.WorkspacePublisher
 	binds map[int][][]tileBind
+	// masks holds the forward [0] and backward [1] pass's gather/scatter
+	// masks, resolved once at the first Run.
+	masks    [2]passMasks
+	masksSet bool
+}
+
+// PanelFill generates panel vectors whose values depend only on the global
+// row, the sweep dimension and the line length — SP's bands, BT's blocks —
+// so the forward pass computes them in place instead of reading them back
+// from fields. Vecs marks the vectors Func supplies (len NumVecs). Func
+// fills them for a panel of nb lines whose first row lies at global index
+// g0 along dim, on lines of n points; the panel holds len(panels[v])/nb
+// rows. A filled vector is still scattered after the forward pass when the
+// backward pass reads it; one it never reads needs no field.
+type PanelFill struct {
+	Vecs []bool
+	Func func(dim, g0, nb, n int, panels [][]float64)
+}
+
+// passMasks says which vectors one pass gathers from and scatters to the
+// fields; a nil mask means every vector (sweep.MaskOn).
+type passMasks struct {
+	gather, scatter []bool
 }
 
 // WorkspaceStats reports this runner's arena acquisition counters; with
@@ -49,10 +78,12 @@ func (sr *SweepRunner) WorkspaceStats() sweep.WorkspaceStats {
 }
 
 // tileBind binds one plan tile to this rank's storage: the local tile
-// index and, per field, the tile's line offsets in the shared canonical
-// order (identical cross-sections, field-specific padding).
+// index, the tile's global start along the sweep dimension and, per
+// non-nil field, the tile's line offsets in the shared canonical order
+// (identical cross-sections, field-specific padding).
 type tileBind struct {
 	local int
+	g0    int
 	geom  [][]grid.Line
 }
 
@@ -81,7 +112,8 @@ func CompileSweepPlanOverlap(env *dist.Env, solver sweep.Solver, o plan.Overlap)
 }
 
 // NewSweepRunner builds a runner for one rank's fields. fields must hold
-// Solver.NumVecs() fields of the same rank.
+// Solver.NumVecs() fields of the same rank; only vectors a Fill supplies
+// and the backward pass never reads may be nil.
 func NewSweepRunner(solver sweep.Solver, fields []*Field) *SweepRunner {
 	if len(fields) != solver.NumVecs() {
 		panic(fmt.Sprintf("dmem: solver %s needs %d fields, got %d", solver.Name(), solver.NumVecs(), len(fields)))
@@ -108,10 +140,12 @@ func (sr *SweepRunner) ensurePlan() {
 	if sr.Plan != nil {
 		return
 	}
-	f0 := sr.Fields[0]
+	f0 := sr.ref()
 	halos := make([]int, len(sr.Fields))
 	for i, f := range sr.Fields {
-		halos[i] = f.Depth
+		if f != nil {
+			halos[i] = f.Depth
+		}
 	}
 	pl, err := plan.Compile(plan.Spec{
 		M: f0.Env.M, Eta: f0.Env.Eta, Solver: sr.Solver,
@@ -129,11 +163,77 @@ func (sr *SweepRunner) CompiledPlan() *plan.SweepPlan {
 	return sr.Plan
 }
 
+// ref returns the runner's first non-nil field: every field shares its
+// environment and rank.
+func (sr *SweepRunner) ref() *Field {
+	for _, f := range sr.Fields {
+		if f != nil {
+			return f
+		}
+	}
+	panic(fmt.Sprintf("dmem: solver %s: every field is nil", sr.Solver.Name()))
+}
+
+// hasBackward reports whether the solver has a backward pass to run.
+func (sr *SweepRunner) hasBackward() bool {
+	return sr.Solver.BackwardCarryLen() > 0 || sr.Solver.BackwardFlopsPerElement() > 0
+}
+
+// ensureMasks resolves both passes' gather/scatter masks on first use and
+// checks that every nil field is one the fill supplies and the backward
+// pass never reads. Without a fill the masks are the solver's PassMasks.
+// With one, the forward pass gathers what it touches unless the fill
+// supplies it, and scatters what it writes — or, for a filled vector, what
+// the backward pass reads back.
+func (sr *SweepRunner) ensureMasks() {
+	if sr.masksSet {
+		return
+	}
+	s := sr.Solver
+	nv := s.NumVecs()
+	fill := sr.Fill.Vecs
+	if sr.Fill.Func == nil {
+		fill = nil
+	} else if len(fill) != nv {
+		panic(fmt.Sprintf("dmem: solver %s: panel fill marks %d vectors, want %d", s.Name(), len(fill), nv))
+	}
+	fwdT, fwdW := sweep.PassMasks(s, false)
+	bwdT, bwdW := sweep.PassMasks(s, true)
+	fm := passMasks{gather: fwdT, scatter: fwdW}
+	bwd := sr.hasBackward()
+	if fill != nil {
+		fm = passMasks{gather: make([]bool, nv), scatter: make([]bool, nv)}
+	}
+	for v := 0; v < nv; v++ {
+		filled := fill != nil && fill[v]
+		readBack := bwd && sweep.MaskOn(bwdT, v)
+		switch {
+		case filled:
+			fm.scatter[v] = readBack
+		case fill != nil:
+			fm.gather[v] = sweep.MaskOn(fwdT, v)
+			fm.scatter[v] = sweep.MaskOn(fwdW, v)
+		}
+		if sr.Fields[v] != nil {
+			continue
+		}
+		if !filled {
+			panic(fmt.Sprintf("dmem: solver %s: field %d is nil but the panel fill does not supply it", s.Name(), v))
+		}
+		if readBack {
+			panic(fmt.Sprintf("dmem: solver %s: field %d is nil but the backward pass reads it", s.Name(), v))
+		}
+	}
+	sr.masks = [2]passMasks{fm, {gather: bwdT, scatter: bwdW}}
+	sr.masksSet = true
+}
+
 // Run performs the full sweep along dim for the calling rank.
 func (sr *SweepRunner) Run(r xport.Transport, dim int) {
 	sr.ensurePlan()
+	sr.ensureMasks()
 	sr.pass(r, dim, false)
-	if sr.Solver.BackwardCarryLen() > 0 || sr.Solver.BackwardFlopsPerElement() > 0 {
+	if sr.hasBackward() {
 		sr.pass(r, dim, true)
 	}
 	sr.pub.Publish(r.MetricsRegistry(), &sr.pan)
@@ -153,7 +253,7 @@ func (sr *SweepRunner) bindings(pp *plan.Pass, dim int, backward bool) [][]tileB
 	if tb, ok := sr.binds[key]; ok {
 		return tb
 	}
-	f0 := sr.Fields[0]
+	f0 := sr.ref()
 	out := make([][]tileBind, len(pp.Phases))
 	for k := range pp.Phases {
 		ph := &pp.Phases[k]
@@ -166,11 +266,14 @@ func (sr *SweepRunner) bindings(pp *plan.Pass, dim int, backward bool) [][]tileB
 			}
 			geom := make([][]grid.Line, len(sr.Fields))
 			for v, f := range sr.Fields {
+				if f == nil {
+					continue
+				}
 				// Fields with equal halo depth have identical padded shapes
 				// and so identical line geometry — share one slice.
 				shared := false
 				for w := 0; w < v; w++ {
-					if sr.Fields[w].Depth == f.Depth {
+					if g := sr.Fields[w]; g != nil && g.Depth == f.Depth {
 						geom[v] = geom[w]
 						shared = true
 						break
@@ -180,7 +283,7 @@ func (sr *SweepRunner) bindings(pp *plan.Pass, dim int, backward bool) [][]tileB
 					geom[v] = f.TileGrid(i).AppendLines(f.InteriorRect(i), dim, make([]grid.Line, 0, t.Lines))
 				}
 			}
-			tb[ti] = tileBind{local: i, geom: geom}
+			tb[ti] = tileBind{local: i, g0: f0.GlobalBounds(i).Lo[dim], geom: geom}
 		}
 		out[k] = tb
 	}
@@ -190,8 +293,7 @@ func (sr *SweepRunner) bindings(pp *plan.Pass, dim int, backward bool) [][]tileB
 
 func (sr *SweepRunner) pass(r xport.Transport, dim int, backward bool) {
 	solver := sr.Solver
-	fields := sr.Fields
-	env := fields[0].Env
+	env := sr.ref().Env
 	q := r.Rank()
 	pp := sr.Plan.Pass(q, dim, backward)
 	binds := sr.bindings(pp, dim, backward)
@@ -202,13 +304,18 @@ func (sr *SweepRunner) pass(r xport.Transport, dim int, backward bool) {
 	}
 
 	pc := &dmPassCtx{
-		binds: binds, backward: backward, carryLen: carryLen,
+		env: env, binds: binds, dim: dim, backward: backward, carryLen: carryLen,
 		flopsPerElem: flopsPerElem, batch: sr.Batch,
 	}
 	if pc.batch <= 0 {
 		pc.batch = sweep.DefaultBatchLines
 	}
-	pc.touched, pc.written = sweep.PassMasks(solver, backward)
+	if backward {
+		pc.passMasks = sr.masks[1]
+	} else {
+		pc.passMasks = sr.masks[0]
+		pc.fill = sr.Fill.Func
+	}
 
 	// Overlap-annotated phases run the boundary-first schedule; preB/preI
 	// carry receive requests preposted for the next phase.
@@ -250,12 +357,16 @@ func (sr *SweepRunner) pass(r xport.Transport, dim int, backward bool) {
 // dmPassCtx bundles one pass invocation's resolved locals shared by the
 // strict loop and the overlapped phase executor.
 type dmPassCtx struct {
-	binds            [][]tileBind
-	backward         bool
-	carryLen         int
-	flopsPerElem     float64
-	batch            int
-	touched, written []bool
+	passMasks
+	env          *dist.Env
+	binds        [][]tileBind
+	dim          int
+	backward     bool
+	carryLen     int
+	flopsPerElem float64
+	batch        int
+	// fill is the runner's panel fill on the forward pass, else nil.
+	fill func(dim, g0, nb, n int, panels [][]float64)
 }
 
 // solveLineRange computes the phase's canonical lines in [gLo, gHi) over
@@ -263,9 +374,10 @@ type dmPassCtx struct {
 // cInBuf/cOutBuf hold the range's carries indexed from gLo. Tiles
 // intersecting the range pay PerTileVisit per visit; the caller charges the
 // flops so boundary and interior compute appear as separate intervals.
+// On the forward pass the fill, if any, generates its vectors in place of
+// the gather.
 func (sr *SweepRunner) solveLineRange(r xport.Transport, pc *dmPassCtx, ph *plan.Phase, k, gLo, gHi int, cInBuf, cOutBuf []float64) int {
 	fields := sr.Fields
-	env := fields[0].Env
 	carryLen := pc.carryLen
 	elements := 0
 	for ti := range ph.Tiles {
@@ -276,16 +388,19 @@ func (sr *SweepRunner) solveLineRange(r xport.Transport, pc *dmPassCtx, ph *plan
 			continue
 		}
 		tb := &pc.binds[k][ti]
-		r.Compute(env.Overhead.PerTileVisit)
+		r.Compute(pc.env.Overhead.PerTileVisit)
 		elements += (hi - lo) * t.ChunkLen
 		tLo, tHi := lo-t.LineOff, hi-t.LineOff
 		for s0 := tLo; s0 < tHi; s0 += pc.batch {
 			nb := min(pc.batch, tHi-s0)
 			panels := sr.pan.Panels(len(fields), nb*t.ChunkLen)
 			for v, f := range fields {
-				if sweep.MaskOn(pc.touched, v) {
+				if sweep.MaskOn(pc.gather, v) {
 					f.TileGrid(tb.local).GatherLines(tb.geom[v][s0:s0+nb], panels[v])
 				}
+			}
+			if pc.fill != nil {
+				pc.fill(pc.dim, tb.g0, nb, pc.env.Eta[pc.dim], panels)
 			}
 			var cIn, cOut []float64
 			c0 := t.LineOff + s0 - gLo
@@ -301,7 +416,7 @@ func (sr *SweepRunner) solveLineRange(r xport.Transport, pc *dmPassCtx, ph *plan
 				sr.Solver.ForwardBatch(panels, nb, cIn, cOut)
 			}
 			for v, f := range fields {
-				if sweep.MaskOn(pc.written, v) {
+				if sweep.MaskOn(pc.scatter, v) {
 					f.TileGrid(tb.local).ScatterLines(tb.geom[v][s0:s0+nb], panels[v])
 				}
 			}

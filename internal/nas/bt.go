@@ -40,55 +40,63 @@ const (
 // 3 blocks of B² entries plus the B-component right-hand side.
 func btVecs() int { return 3*BTBlockSize*BTBlockSize + BTBlockSize }
 
-// BTCoeff is the deterministic block-coefficient generator, indexed so the
+// btCoeff is the deterministic block-coefficient generator, indexed so the
 // systems are non-constant yet reproducible by every execution mode:
 // g is the global row, (r, c) the block entry, and which selects the A (0),
 // C (1) or off-diagonal-B (2) block.
-func BTCoeff(g, r, c, which int) float64 {
+func btCoeff(g, r, c, which int) float64 {
 	h := (g*31 + r*17 + c*7 + which*13) % 19
 	return (float64(h) - 9) / 40 // in [−0.225, 0.225]
 }
 
-// btCoeff is the internal alias.
-func btCoeff(g, r, c, which int) float64 { return BTCoeff(g, r, c, which) }
+// BTBlockRow writes the 3·B² block coefficients of global row g of a solve
+// along dim over a line of n points into row, in the solver's vector order:
+// the A block (coupling to g−1, zero at the line start), the B block
+// (diagonal, made block-diagonally dominant) and the C block (coupling to
+// g+1, zero at the line end), each entry-major. Every execution mode
+// assembles its BT systems through it, so they are identical bit for bit.
+func BTBlockRow(g, dim, n int, row *[3 * BTBlockSize * BTBlockSize]float64) {
+	const b = BTBlockSize
+	const bb = b * b
+	for r := 0; r < b; r++ {
+		rowSum := 0.0
+		for c := 0; c < b; c++ {
+			av, cv := 0.0, 0.0
+			if g >= 1 {
+				av = btCoeff(g+dim, r, c, 0)
+			}
+			if g < n-1 {
+				cv = btCoeff(g+dim, r, c, 1)
+			}
+			row[r*b+c] = av
+			row[2*bb+r*b+c] = cv
+			rowSum += abs64(av) + abs64(cv)
+			if c != r {
+				bv := btCoeff(g+dim, r, c, 2)
+				row[bb+r*b+c] = bv
+				rowSum += abs64(bv)
+			}
+		}
+		row[bb+r*b+r] = rowSum + 1.5
+	}
+}
 
 // BuildBlockLHS fills the 3·B² block-coefficient grids for a solve along
-// dim over region rect: A blocks (coupling to k−1), B blocks (diagonal,
-// made block-diagonally dominant), C blocks (coupling to k+1), with A
-// zeroed at the line start and C at the line end.
+// dim over region rect from BTBlockRow.
 func BuildBlockLHS(dim int, rect grid.Rect, vecs []*grid.Grid) {
-	const b = BTBlockSize
-	bb := b * b
 	n := vecs[0].Shape()[dim]
 	start := rect.Lo[dim]
-	data := make([][]float64, 3*bb)
+	var row [3 * BTBlockSize * BTBlockSize]float64
+	data := make([][]float64, len(row))
 	for i := range data {
 		data[i] = vecs[i].Data()
 	}
 	vecs[0].EachLine(rect, dim, func(l grid.Line) {
 		off := l.Base
 		for k := 0; k < l.N; k++ {
-			g := start + k
-			for r := 0; r < b; r++ {
-				rowSum := 0.0
-				for c := 0; c < b; c++ {
-					av, cv := 0.0, 0.0
-					if g >= 1 {
-						av = btCoeff(g+dim, r, c, 0)
-					}
-					if g < n-1 {
-						cv = btCoeff(g+dim, r, c, 1)
-					}
-					data[r*b+c][off] = av
-					data[2*bb+r*b+c][off] = cv
-					rowSum += abs64(av) + abs64(cv)
-					if c != r {
-						bv := btCoeff(g+dim, r, c, 2)
-						data[bb+r*b+c][off] = bv
-						rowSum += abs64(bv)
-					}
-				}
-				data[bb+r*b+r][off] = rowSum + 1.5
+			BTBlockRow(start+k, dim, n, &row)
+			for v, x := range row {
+				data[v][off] = x
 			}
 			off += l.Stride
 		}
