@@ -22,6 +22,7 @@ import (
 	"genmp/internal/nas"
 	"genmp/internal/numutil"
 	"genmp/internal/partition"
+	"genmp/internal/plan"
 	"genmp/internal/sim"
 	"genmp/internal/sweep"
 )
@@ -384,7 +385,7 @@ func BenchmarkStrictDistributedSP(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		if _, _, err := dmem.RunSP(env, nasMachine(8), 1); err != nil {
+		if _, _, err := dmem.RunSPOverlap(env, nasMachine(8), 1, plan.Overlap{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -47,6 +47,7 @@ import (
 	"genmp/internal/grid"
 	"genmp/internal/nas"
 	"genmp/internal/obs"
+	"genmp/internal/plan"
 	"genmp/internal/sim"
 	"genmp/internal/sweep"
 )
@@ -87,7 +88,7 @@ func spCase(p int, gamma, eta []int, steps int) obs.BenchRecord {
 	if err != nil {
 		log.Fatal(err)
 	}
-	_, res, err := dmem.RunSP(env, nas.Origin2000Machine(p), steps)
+	_, res, err := dmem.RunSPOverlap(env, nas.Origin2000Machine(p), steps, plan.Overlap{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,6 +15,7 @@ import (
 	"genmp/internal/dmem"
 	"genmp/internal/grid"
 	"genmp/internal/nas"
+	"genmp/internal/plan"
 )
 
 func main() {
@@ -36,7 +37,7 @@ func main() {
 	want := nas.InitialState(eta)
 	nas.SerialSolve(want, steps)
 
-	got, res, err := dmem.RunSP(env, nas.Origin2000Machine(p), steps)
+	got, res, err := dmem.RunSPOverlap(env, nas.Origin2000Machine(p), steps, plan.Overlap{})
 	if err != nil {
 		log.Fatal(err)
 	}

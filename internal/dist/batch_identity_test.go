@@ -32,10 +32,12 @@ func requireBitIdentical(t *testing.T, tag string, want, got []*grid.Grid) {
 // identitySolvers covers every batched kernel family: the first-order
 // recurrence, the specialized tridiagonal, the general banded code
 // (pentadiagonal), whose backward pass also exercises the PassAccess masks
-// that skip gathering the lower bands and scatter only the rhs, and BT's
-// 5×5 block tridiagonal, whose masks skip scattering A and B.
+// that skip gathering the lower bands and scatter only the rhs, a banded
+// solver with no super-diagonals, whose backward pass has no carry but
+// still divides by the diagonal, and BT's 5×5 block tridiagonal, whose
+// masks skip scattering A and B.
 func identitySolvers() []sweep.Solver {
-	return []sweep.Solver{sweep.Recurrence{}, sweep.Tridiag{}, sweep.NewPenta(), sweep.NewBlockTridiag(5)}
+	return []sweep.Solver{sweep.Recurrence{}, sweep.Tridiag{}, sweep.NewPenta(), sweep.Banded{KL: 2, KU: 0}, sweep.NewBlockTridiag(5)}
 }
 
 func identityGrids(t *testing.T, rng *rand.Rand, solver sweep.Solver, eta []int, dim int) []*grid.Grid {

@@ -212,7 +212,7 @@ func solveLocalLines(solver sweep.Solver, vecs []*grid.Grid, rect grid.Rect, dim
 	}
 	sc.lines = vecs[0].AppendLines(rect, dim, sc.lines[:0])
 	lines := sc.lines
-	runBackward := solver.BackwardCarryLen() > 0
+	runBackward := sweep.HasBackward(solver)
 	// Both passes run on one packed panel, so the move masks are the union
 	// of the passes': gather what either touches, scatter what either
 	// writes (skipping a scatter of unmodified values is a numeric no-op).
@@ -254,7 +254,7 @@ func (b *Block) WavefrontSweep(r xport.Transport, solver sweep.Solver, vecs []*g
 	}
 	pl := b.wavefrontPlan(solver, grainLines)
 	b.wavefrontPass(r, solver, vecs, pl, false)
-	if solver.BackwardCarryLen() > 0 || solver.BackwardFlopsPerElement() > 0 {
+	if sweep.HasBackward(solver) {
 		b.wavefrontPass(r, solver, vecs, pl, true)
 	}
 }
@@ -262,13 +262,7 @@ func (b *Block) WavefrontSweep(r xport.Transport, solver sweep.Solver, vecs []*g
 func (b *Block) wavefrontPass(r xport.Transport, solver sweep.Solver, vecs []*grid.Grid, pl *plan.SweepPlan, backward bool) {
 	q := r.Rank()
 	pp := pl.Pass(q, b.Dim, backward)
-	carryLen := pp.CarryLen
-	flopsPerElem := solver.ForwardFlopsPerElement()
-	if backward {
-		flopsPerElem = solver.BackwardFlopsPerElement()
-	}
 	rect := b.ownedRect(q)
-	chunkLen := rect.Hi[b.Dim] - rect.Lo[b.Dim]
 
 	// Collect this rank's line geometry once (identical ordering on all
 	// ranks: row-major over the full orthogonal extents). Each grain block
@@ -277,63 +271,45 @@ func (b *Block) wavefrontPass(r xport.Transport, solver sweep.Solver, vecs []*gr
 	// — no per-line copy.
 	wc := &wfPassCtx{
 		sc: b.scratch(q), solver: solver, vecs: vecs, backward: backward,
-		flopsPerElem: flopsPerElem, chunkLen: chunkLen,
+		chunkLen: rect.Hi[b.Dim] - rect.Lo[b.Dim],
 	}
 	if vecs != nil {
 		wc.sc.lines = vecs[0].AppendLines(rect, b.Dim, wc.sc.lines[:0])
 		wc.touched, wc.written = sweep.PassMasks(solver, backward)
 	}
-
-	var preB, preI xport.Request
-	for m := range pp.Phases {
-		ph := &pp.Phases[m]
-		if ph.Boundary > 0 {
-			preB, preI = b.wavefrontOverlapPhase(r, wc, pp, m, preB, preI)
-			continue
-		}
-		first := ph.Tiles[0].LineOff
-		count := ph.Lines
-
-		var inBuf []float64
-		if ph.RecvFrom >= 0 && carryLen > 0 {
-			msg := r.Recv(ph.RecvFrom, ph.RecvTag)
-			r.Compute(b.Overhead.PerMessage)
-			inBuf = msg.Payload
-		}
-		var outBuf []float64
-		if ph.SendTo >= 0 && carryLen > 0 && vecs != nil {
-			outBuf = r.GetPayload(count * carryLen)
-		}
-		wc.solve(first, first+count, inBuf, outBuf)
-		// A received payload belongs to this rank once consumed; recycle it.
-		if inBuf != nil {
-			r.PutPayload(inBuf)
-		}
-		r.ComputeFlops(flopsPerElem * float64(count*chunkLen) * b.Overhead.ComputeFactor)
-
-		if ph.SendTo >= 0 && carryLen > 0 {
-			r.Compute(b.Overhead.PerMessage)
-			r.Send(ph.SendTo, ph.SendTag, xport.Msg{Bytes: ph.SendBytes, Payload: outBuf})
-		}
+	ex := PassExec{
+		PerMessage:    b.Overhead.PerMessage,
+		FlopsPerElem:  solver.ForwardFlopsPerElement(),
+		ComputeFactor: b.Overhead.ComputeFactor,
+		Payloads:      vecs != nil,
+		// A pipeline block is a contiguous run of whole lines, so the range
+		// [gLo, gHi) maps directly onto the cached line geometry.
+		Solve: func(k, gLo, gHi int, cIn, cOut []float64) int {
+			first := pp.Phases[k].Tiles[0].LineOff
+			wc.solve(first+gLo, first+gHi, cIn, cOut)
+			return (gHi - gLo) * wc.chunkLen
+		},
 	}
+	if backward {
+		ex.FlopsPerElem = solver.BackwardFlopsPerElement()
+	}
+	RunPass(r, pp, ex)
 	wc.sc.publish(r)
 }
 
-// wfPassCtx bundles one wavefront pass invocation's resolved locals, shared
-// by the strict block loop and the overlapped block executor.
+// wfPassCtx bundles one wavefront pass invocation's resolved locals for
+// the block solve.
 type wfPassCtx struct {
 	sc               *rankScratch
 	solver           sweep.Solver
 	vecs             []*grid.Grid
 	backward         bool
-	flopsPerElem     float64
 	chunkLen         int
 	touched, written []bool
 }
 
 // solve runs the pass over the rank's lines [lo, hi) in one panel; cIn and
-// cOut hold the lines' carries (either may be nil). Flops are charged by
-// the caller.
+// cOut hold the lines' carries (either may be nil).
 func (wc *wfPassCtx) solve(lo, hi int, cIn, cOut []float64) {
 	if wc.vecs == nil || lo == hi {
 		return

@@ -9,6 +9,7 @@ import (
 
 	"genmp/internal/core"
 	"genmp/internal/grid"
+	"genmp/internal/plan"
 	"genmp/internal/sim"
 	"genmp/internal/sweep"
 )
@@ -95,7 +96,10 @@ func cloneAll(gs []*grid.Grid) []*grid.Grid {
 	return out
 }
 
-func runMultiSweep(t *testing.T, p int, gamma, eta []int, solver sweep.Solver, aggregate bool, dims []int) {
+// runMultiSweep solves along each of dims with a MultiSweep, checks the
+// fields against the serial solve and returns the messages sent over all
+// dims.
+func runMultiSweep(t *testing.T, p int, gamma, eta []int, solver sweep.Solver, aggregate bool, ov plan.Overlap, dims []int) int {
 	t.Helper()
 	m, err := core.NewGeneralized(p, gamma)
 	if err != nil {
@@ -106,6 +110,7 @@ func runMultiSweep(t *testing.T, p int, gamma, eta []int, solver sweep.Solver, a
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(int64(p)))
+	msgs := 0
 	for _, dim := range dims {
 		var gs []*grid.Grid
 		switch sv := solver.(type) {
@@ -125,6 +130,10 @@ func runMultiSweep(t *testing.T, p int, gamma, eta []int, solver sweep.Solver, a
 			t.Fatal(err)
 		}
 		ms.Aggregate = aggregate
+		ms.Overlap = ov
+		if ov.Enabled && !hasSplitPhase(ms.CompiledPlan()) {
+			t.Fatalf("p=%d γ=%v: overlap enabled but no phase is split", p, gamma)
+		}
 		mach := testMachine(p)
 		res, err := mach.Run(func(r *sim.Rank) { ms.Run(r, dim) })
 		if err != nil {
@@ -138,33 +147,50 @@ func runMultiSweep(t *testing.T, p int, gamma, eta []int, solver sweep.Solver, a
 				t.Fatalf("p=%d γ=%v dim=%d solver=%s vec=%d: max diff %g", p, gamma, dim, solver.Name(), v, d)
 			}
 		}
+		msgs += res.TotalMessages()
 	}
+	return msgs
+}
+
+// hasSplitPhase reports whether any phase of pl carries the boundary-first
+// annotation.
+func hasSplitPhase(pl *plan.SweepPlan) bool {
+	for _, passes := range pl.Passes {
+		for _, pp := range passes {
+			for _, ph := range pp.Phases {
+				if ph.Boundary > 0 {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 func TestMultiSweepTridiagMatchesSerial(t *testing.T) {
-	runMultiSweep(t, 4, []int{2, 2, 2}, []int{12, 10, 8}, sweep.Tridiag{}, true, []int{0, 1, 2})
-	runMultiSweep(t, 8, []int{4, 4, 2}, []int{16, 13, 9}, sweep.Tridiag{}, true, []int{0, 1, 2})
-	runMultiSweep(t, 16, []int{4, 4, 4}, []int{17, 16, 15}, sweep.Tridiag{}, true, []int{0, 1, 2})
-	runMultiSweep(t, 6, []int{6, 6, 1}, []int{13, 14, 5}, sweep.Tridiag{}, true, []int{0, 1, 2})
+	runMultiSweep(t, 4, []int{2, 2, 2}, []int{12, 10, 8}, sweep.Tridiag{}, true, plan.Overlap{}, []int{0, 1, 2})
+	runMultiSweep(t, 8, []int{4, 4, 2}, []int{16, 13, 9}, sweep.Tridiag{}, true, plan.Overlap{}, []int{0, 1, 2})
+	runMultiSweep(t, 16, []int{4, 4, 4}, []int{17, 16, 15}, sweep.Tridiag{}, true, plan.Overlap{}, []int{0, 1, 2})
+	runMultiSweep(t, 6, []int{6, 6, 1}, []int{13, 14, 5}, sweep.Tridiag{}, true, plan.Overlap{}, []int{0, 1, 2})
 }
 
 func TestMultiSweepPentaMatchesSerial(t *testing.T) {
-	runMultiSweep(t, 8, []int{4, 4, 2}, []int{14, 12, 10}, sweep.NewPenta(), true, []int{0, 1, 2})
-	runMultiSweep(t, 9, []int{3, 3, 3}, []int{12, 11, 13}, sweep.NewPenta(), true, []int{0, 1, 2})
+	runMultiSweep(t, 8, []int{4, 4, 2}, []int{14, 12, 10}, sweep.NewPenta(), true, plan.Overlap{}, []int{0, 1, 2})
+	runMultiSweep(t, 9, []int{3, 3, 3}, []int{12, 11, 13}, sweep.NewPenta(), true, plan.Overlap{}, []int{0, 1, 2})
 }
 
 func TestMultiSweepRecurrenceMatchesSerial(t *testing.T) {
-	runMultiSweep(t, 12, []int{6, 6, 2}, []int{12, 12, 12}, sweep.Recurrence{}, true, []int{0, 1, 2})
+	runMultiSweep(t, 12, []int{6, 6, 2}, []int{12, 12, 12}, sweep.Recurrence{}, true, plan.Overlap{}, []int{0, 1, 2})
 }
 
 func TestMultiSweep2D(t *testing.T) {
-	runMultiSweep(t, 5, []int{5, 5}, []int{17, 13}, sweep.Tridiag{}, true, []int{0, 1})
+	runMultiSweep(t, 5, []int{5, 5}, []int{17, 13}, sweep.Tridiag{}, true, plan.Overlap{}, []int{0, 1})
 }
 
 func TestMultiSweep4D(t *testing.T) {
 	// 4-D arrays: γ = (2,2,2,2) is valid for p = 8 (every co-product is 8),
 	// exercising the full d-generality of the construction and executor.
-	runMultiSweep(t, 8, []int{2, 2, 2, 2}, []int{8, 7, 6, 5}, sweep.Tridiag{}, true, []int{0, 1, 2, 3})
+	runMultiSweep(t, 8, []int{2, 2, 2, 2}, []int{8, 7, 6, 5}, sweep.Tridiag{}, true, plan.Overlap{}, []int{0, 1, 2, 3})
 }
 
 func TestMultiSweepBlockTridiag(t *testing.T) {
@@ -238,7 +264,13 @@ func makeBlockTriGrids(rng *rand.Rand, eta []int, b, dim int) []*grid.Grid {
 }
 
 func TestMultiSweepNonAggregated(t *testing.T) {
-	runMultiSweep(t, 8, []int{4, 4, 2}, []int{12, 12, 12}, sweep.Tridiag{}, false, []int{0, 2})
+	strict := runMultiSweep(t, 8, []int{4, 4, 2}, []int{12, 12, 12}, sweep.Tridiag{}, false, plan.Overlap{}, []int{0, 2})
+	// The per-tile ablation ignores the overlap annotation: same fields,
+	// and exactly the overlap-off per-tile message count.
+	overlapped := runMultiSweep(t, 8, []int{4, 4, 2}, []int{12, 12, 12}, sweep.Tridiag{}, false, plan.Overlap{Enabled: true}, []int{0, 2})
+	if overlapped != strict {
+		t.Errorf("per-tile messages with overlap on = %d, want the overlap-off %d", overlapped, strict)
+	}
 }
 
 func TestAggregationReducesMessages(t *testing.T) {

@@ -106,7 +106,7 @@ func (s *MultiSweep) WorkspaceStats() sweep.WorkspaceStats {
 func (s *MultiSweep) Run(r xport.Transport, dim int) {
 	s.init()
 	s.pass(r, dim, false)
-	if s.Solver.BackwardCarryLen() > 0 || s.Solver.BackwardFlopsPerElement() > 0 {
+	if sweep.HasBackward(s.Solver) {
 		s.pass(r, dim, true)
 	}
 }
@@ -115,119 +115,94 @@ func (s *MultiSweep) pass(r xport.Transport, dim int, backward bool) {
 	env := s.Env
 	q := r.Rank()
 	pp := s.Plan.Pass(q, dim, backward)
-	carryLen := pp.CarryLen
-	flopsPerElem := s.Solver.ForwardFlopsPerElement()
-	if backward {
-		flopsPerElem = s.Solver.BackwardFlopsPerElement()
-	}
 	// Per-rank scratch: SoA panel arena and line geometry, reused across
 	// phases, passes and steps. Each tile's lines are packed into panels
 	// whose carries are read and written directly in the line-major message
 	// payloads — the kernel's carry marshalling IS the wire format.
-	pc := &msPassCtx{
-		sc: &s.scratchBuf[q], dim: dim, backward: backward, carryLen: carryLen,
-		flopsPerElem: flopsPerElem, batch: s.Batch,
-	}
+	pc := &msPassCtx{sc: &s.scratchBuf[q], dim: dim, backward: backward, carryLen: pp.CarryLen, batch: s.Batch}
 	if pc.batch <= 0 {
 		pc.batch = sweep.DefaultBatchLines
 	}
 	if s.Vecs != nil {
 		pc.touched, pc.written = sweep.PassMasks(s.Solver, backward)
 	}
-
-	// Overlap-annotated phases run the boundary-first schedule; preB/preI
-	// carry receive requests preposted for the next phase while the current
-	// one's interior solve hides the wire.
-	var preB, preI xport.Request
-	for k := range pp.Phases {
-		ph := &pp.Phases[k]
-		if ph.Boundary > 0 && s.Aggregate {
-			preB, preI = s.overlapPhase(r, pc, pp, k, preB, preI)
-			continue
-		}
-		// Per-tile line counts are identical on the sending and receiving
-		// side of a phase boundary: tiles correspond by a one-slab shift,
-		// which preserves both order and cross-section (Plan.Validate checks
-		// exactly this symmetry).
-		lines := ph.Lines
-
-		// Receive the carries produced by the upstream slab. An aggregated
-		// payload is a pooled buffer whose ownership arrives with the
-		// message; it is recycled below once consumed. Non-aggregated
-		// payloads are sub-slices of the sender's buffer and must not be
-		// recycled here.
-		var inBuf []float64
-		pooledIn := false
-		if ph.RecvFrom >= 0 && carryLen > 0 {
-			if s.Aggregate {
-				msg := r.Recv(ph.RecvFrom, ph.RecvTag)
-				r.Compute(env.Overhead.PerMessage)
-				inBuf = msg.Payload
-				pooledIn = inBuf != nil
-			} else {
-				if s.Vecs != nil {
-					inBuf = make([]float64, lines*carryLen)
-				}
-				off := 0
-				for ti := range ph.Tiles {
-					n := ph.Tiles[ti].Lines
-					msg := r.Recv(ph.RecvFrom, ph.RecvTag)
-					r.Compute(env.Overhead.PerMessage)
-					if inBuf != nil {
-						copy(inBuf[off:off+n*carryLen], msg.Payload)
-					}
-					off += n * carryLen
-				}
-			}
-		}
-
-		var outBuf []float64
-		if ph.SendTo >= 0 && carryLen > 0 && s.Vecs != nil {
-			if s.Aggregate {
-				outBuf = r.GetPayload(lines * carryLen)
-			} else {
-				outBuf = make([]float64, lines*carryLen)
-			}
-		}
-
-		// Compute this slab's tiles.
-		elements := s.solveLineRange(r, pc, ph, 0, lines, inBuf, outBuf)
-		if pooledIn {
-			r.PutPayload(inBuf)
-		}
-		r.ComputeFlops(flopsPerElem * float64(elements) * env.Overhead.ComputeFactor)
-
-		// Ship the carries downstream.
-		if ph.SendTo >= 0 && carryLen > 0 {
-			if s.Aggregate {
-				r.Compute(env.Overhead.PerMessage)
-				r.Send(ph.SendTo, ph.SendTag, xport.Msg{Bytes: ph.SendBytes, Payload: outBuf})
-			} else {
-				off := 0
-				for ti := range ph.Tiles {
-					n := ph.Tiles[ti].Lines
-					r.Compute(env.Overhead.PerMessage)
-					msg := xport.Msg{Bytes: n * carryLen * 8}
-					if outBuf != nil {
-						msg.Payload = outBuf[off : off+n*carryLen]
-					}
-					off += n * carryLen
-					r.Send(ph.SendTo, ph.SendTag, msg)
-				}
-			}
-		}
+	ex := PassExec{
+		PerMessage:    env.Overhead.PerMessage,
+		FlopsPerElem:  s.Solver.ForwardFlopsPerElement(),
+		ComputeFactor: env.Overhead.ComputeFactor,
+		Payloads:      s.Vecs != nil,
+		Solve: func(k, gLo, gHi int, cIn, cOut []float64) int {
+			return s.solveLineRange(r, pc, &pp.Phases[k], gLo, gHi, cIn, cOut)
+		},
+	}
+	if backward {
+		ex.FlopsPerElem = s.Solver.BackwardFlopsPerElement()
+	}
+	if s.Aggregate {
+		RunPass(r, pp, ex)
+	} else {
+		perTilePass(r, pp, ex)
 	}
 	pc.sc.publish(r)
 }
 
-// msPassCtx bundles one pass invocation's resolved locals so the strict
-// loop and the overlapped phase executor share them without re-deriving.
+// perTilePass runs the non-aggregated ablation (DESIGN.md §4.1): one carry
+// message per tile instead of one per phase. Overlap annotations are
+// ignored. Received payloads are sub-slices of the sender's buffer, so
+// they are copied out and never recycled here.
+func perTilePass(t xport.Transport, pp *plan.Pass, ex PassExec) {
+	carryLen := pp.CarryLen
+	for k := range pp.Phases {
+		// Per-tile line counts are identical on the sending and receiving
+		// side of a phase boundary: tiles correspond by a one-slab shift,
+		// which preserves both order and cross-section (Plan.Validate checks
+		// exactly this symmetry).
+		ph := &pp.Phases[k]
+		var in []float64
+		if ph.RecvFrom >= 0 && carryLen > 0 {
+			if ex.Payloads {
+				in = make([]float64, ph.Lines*carryLen)
+			}
+			off := 0
+			for ti := range ph.Tiles {
+				n := ph.Tiles[ti].Lines * carryLen
+				msg := t.Recv(ph.RecvFrom, ph.RecvTag)
+				t.Compute(ex.PerMessage)
+				if in != nil {
+					copy(in[off:off+n], msg.Payload)
+				}
+				off += n
+			}
+		}
+		var out []float64
+		if ph.SendTo >= 0 && carryLen > 0 && ex.Payloads {
+			out = make([]float64, ph.Lines*carryLen)
+		}
+		elements := ex.Solve(k, 0, ph.Lines, in, out)
+		t.ComputeFlops(ex.FlopsPerElem * float64(elements) * ex.ComputeFactor)
+		if ph.SendTo >= 0 && carryLen > 0 {
+			off := 0
+			for ti := range ph.Tiles {
+				n := ph.Tiles[ti].Lines * carryLen
+				t.Compute(ex.PerMessage)
+				msg := xport.Msg{Bytes: n * 8}
+				if out != nil {
+					msg.Payload = out[off : off+n]
+				}
+				off += n
+				t.Send(ph.SendTo, ph.SendTag, msg)
+			}
+		}
+	}
+}
+
+// msPassCtx bundles one pass invocation's resolved locals for the solve
+// kernel.
 type msPassCtx struct {
 	sc               *rankScratch
 	dim              int
 	backward         bool
 	carryLen         int
-	flopsPerElem     float64
 	batch            int
 	touched, written []bool
 }
@@ -236,8 +211,7 @@ type msPassCtx struct {
 // clipping each tile to the range. cInBuf/cOutBuf hold the range's carries,
 // indexed from gLo (line g's carry block starts at (g−gLo)·carryLen). Tiles
 // intersecting the range pay PerTileVisit per visit — a tile straddling the
-// split is visited twice. Returns the elements computed; the caller charges
-// the flops so boundary and interior compute appear as separate intervals.
+// split is visited twice. Returns the elements computed.
 func (s *MultiSweep) solveLineRange(r xport.Transport, pc *msPassCtx, ph *plan.Phase, gLo, gHi int, cInBuf, cOutBuf []float64) int {
 	env := s.Env
 	carryLen := pc.carryLen

@@ -11,19 +11,14 @@ import (
 	"genmp/internal/xport"
 )
 
-// RunADI executes the ADI heat integration in strict distributed-memory
-// mode: tridiagonal half-steps along every dimension with per-rank private
-// storage and payload-borne carries. ADI's stencil-free coefficient builds
-// need no halos at all, so the only communication is the sweep carries plus
-// the final gather. The returned grid (rank 0) matches
-// adi.Problem.SerialSolve elementwise.
-func RunADI(pb adi.Problem, env *dist.Env, mach *sim.Machine) (*grid.Grid, sim.Result, error) {
-	return RunADIOverlap(pb, env, mach, plan.Overlap{})
-}
-
-// RunADIOverlap is RunADI under the boundary-first overlap schedule (ADI
-// has no stencil halos, so the sweep carries are the only pipelined
-// traffic); the final field is bit-identical to RunADI.
+// RunADIOverlap executes the ADI heat integration in strict
+// distributed-memory mode: tridiagonal half-steps along every dimension
+// with per-rank private storage and payload-borne carries. ADI's
+// stencil-free coefficient builds need no halos at all, so the only
+// communication is the sweep carries plus the final gather. The returned
+// grid (rank 0) matches adi.Problem.SerialSolve elementwise. An enabled
+// Overlap selects the boundary-first schedule (the sweep carries are the
+// only pipelined traffic); the final field is bit-identical either way.
 func RunADIOverlap(pb adi.Problem, env *dist.Env, mach *sim.Machine, o plan.Overlap) (*grid.Grid, sim.Result, error) {
 	solver := sweep.Tridiag{}
 	sweepPlan, err := CompileSweepPlanOverlap(env, solver, o)

@@ -8,6 +8,7 @@ import (
 	"genmp/internal/grid"
 	"genmp/internal/sim"
 	"genmp/internal/sweep"
+	"genmp/internal/xport"
 )
 
 // strictIdentityGrids builds the global reference system for one solver: a
@@ -120,7 +121,7 @@ func TestSweepRunnerBatchBitIdentical(t *testing.T) {
 					runner.Batch = batch
 					runner.Run(r, dim)
 					for v := range fields {
-						if g := GatherToRoot(r, fields[v], sim.AlgAuto); g != nil {
+						if g := GatherToRoot(r, fields[v], xport.AlgAuto); g != nil {
 							out[v] = g
 						}
 					}

@@ -13,16 +13,11 @@ import (
 	"genmp/internal/xport"
 )
 
-// RunBT executes the BT pseudo-application (5×5 block tridiagonal line
-// solves) in strict distributed-memory mode. The returned grid (rank 0)
-// matches nas.BTSerialSolve elementwise.
-func RunBT(env *dist.Env, mach *sim.Machine, steps int) (*grid.Grid, sim.Result, error) {
-	return RunBTOverlap(env, mach, steps, plan.Overlap{})
-}
-
-// RunBTOverlap is RunBT under the boundary-first overlap schedule with
-// cross-timestep halo pipelining (see RunSPOverlap); the final field is
-// bit-identical to RunBT.
+// RunBTOverlap executes the BT pseudo-application (5×5 block tridiagonal
+// line solves) in strict distributed-memory mode. The returned grid (rank
+// 0) matches nas.BTSerialSolve elementwise. An enabled Overlap selects the
+// boundary-first schedule with cross-timestep halo pipelining (see
+// RunSPOverlap); the final field is bit-identical either way.
 func RunBTOverlap(env *dist.Env, mach *sim.Machine, steps int, o plan.Overlap) (*grid.Grid, sim.Result, error) {
 	if err := btCheck(env); err != nil {
 		return nil, sim.Result{}, err

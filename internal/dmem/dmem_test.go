@@ -13,8 +13,10 @@ import (
 	"genmp/internal/nas"
 	"genmp/internal/numutil"
 	"genmp/internal/partition"
+	"genmp/internal/plan"
 	"genmp/internal/sim"
 	"genmp/internal/sweep"
+	"genmp/internal/xport"
 )
 
 func testMachine(p int) *sim.Machine {
@@ -83,7 +85,7 @@ func TestFillFuncUsesGlobalCoordinates(t *testing.T) {
 		f := NewField(env, r.ID, 1)
 		f.FillFunc(func(g []int) float64 { return float64(100*g[0] + 10*g[1] + g[2]) })
 		fields[r.ID] = f
-		if g := GatherToRoot(r, f, sim.AlgAuto); g != nil {
+		if g := GatherToRoot(r, f, xport.AlgAuto); g != nil {
 			rebuilt = g
 		}
 	})
@@ -217,8 +219,8 @@ func TestStrictSweepMatchesSerial(t *testing.T) {
 			v := v
 			fields[v].FillFunc(func(g []int) float64 { return gs[v].At(g...) })
 		}
-		RunSweep(r, sweep.Tridiag{}, fields, 0)
-		if g := GatherToRoot(r, fields[3], sim.AlgAuto); g != nil {
+		NewSweepRunner(sweep.Tridiag{}, fields).Run(r, 0)
+		if g := GatherToRoot(r, fields[3], xport.AlgAuto); g != nil {
 			rebuilt = g
 		}
 	})
@@ -259,7 +261,7 @@ func TestStrictSPMatchesSerial(t *testing.T) {
 		nas.SerialSolve(want, steps)
 
 		env := mustEnv(t, c.p, c.gamma, c.eta)
-		got, res, err := RunSP(env, testMachine(c.p), steps)
+		got, res, err := RunSPOverlap(env, testMachine(c.p), steps, plan.Overlap{})
 		if err != nil {
 			t.Fatalf("p=%d: %v", c.p, err)
 		}
@@ -294,7 +296,7 @@ func TestStrictADIMatchesSerial(t *testing.T) {
 		pb.SerialSolve(want)
 
 		env := mustEnv(t, c.p, c.gamma, c.eta)
-		got, res, err := RunADI(pb, env, testMachine(c.p))
+		got, res, err := RunADIOverlap(pb, env, testMachine(c.p), plan.Overlap{})
 		if err != nil {
 			t.Fatalf("p=%d: %v", c.p, err)
 		}
@@ -321,7 +323,7 @@ func TestStrictBTMatchesSerial(t *testing.T) {
 		gamma []int
 	}{{2, []int{1, 2, 2}}, {4, []int{2, 2, 2}}, {6, []int{2, 3, 6}}} {
 		env := mustEnv(t, c.p, c.gamma, eta)
-		got, res, err := RunBT(env, testMachine(c.p), steps)
+		got, res, err := RunBTOverlap(env, testMachine(c.p), steps, plan.Overlap{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -339,7 +341,7 @@ func TestStrictBTMatchesSerial(t *testing.T) {
 
 func TestStrictSPRejectsThinTiles(t *testing.T) {
 	env := mustEnv(t, 8, []int{8, 8, 1}, []int{8, 8, 4}) // tiles 1 cell thick
-	if _, _, err := RunSP(env, testMachine(8), 1); err == nil {
+	if _, _, err := RunSPOverlap(env, testMachine(8), 1, plan.Overlap{}); err == nil {
 		t.Error("tiles thinner than the halo depth should be rejected")
 	}
 }
@@ -359,7 +361,7 @@ func TestStrictVersusSharedTrafficParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, resStrict, err := RunSP(env, testMachine(p), steps)
+	_, resStrict, err := RunSPOverlap(env, testMachine(p), steps, plan.Overlap{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"genmp/internal/plan"
 	"genmp/internal/sim"
 	"genmp/internal/sweep"
+	"genmp/internal/xport"
 )
 
 // poison is a NaN payload no fill or reference ever produces.
@@ -153,7 +154,7 @@ func TestSweepRunnerPanelFill(t *testing.T) {
 						}
 						runner.Run(r, dim)
 						for v := c.noField; v < nv; v++ {
-							if g := GatherToRoot(r, fields[v], sim.AlgAuto); g != nil {
+							if g := GatherToRoot(r, fields[v], xport.AlgAuto); g != nil {
 								out[v] = g
 							}
 						}

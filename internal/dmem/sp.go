@@ -13,25 +13,22 @@ import (
 	"genmp/internal/xport"
 )
 
-// RunSP executes the SP pseudo-application in strict distributed-memory
-// mode: every rank holds private padded copies of its tiles, stencil halos
-// and sweep carries move in real message payloads, and the final state is
-// gathered to rank 0 over messages. The returned grid (non-nil only from
-// the outer call, assembled on rank 0) matches nas.SerialSolve elementwise.
+// RunSPOverlap executes the SP pseudo-application in strict
+// distributed-memory mode: every rank holds private padded copies of its
+// tiles, stencil halos and sweep carries move in real message payloads, and
+// the final state is gathered to rank 0 over messages. The returned grid
+// (non-nil only from the outer call, assembled on rank 0) matches
+// nas.SerialSolve elementwise.
 //
 // Every tile must be at least haloDepth (2) cells thick in every cut
 // dimension so a single neighbor's face covers the stencil reach.
-func RunSP(env *dist.Env, mach *sim.Machine, steps int) (*grid.Grid, sim.Result, error) {
-	return RunSPOverlap(env, mach, steps, plan.Overlap{})
-}
-
-// RunSPOverlap is RunSP with the boundary-first overlap schedule: the sweep
-// plan is compiled with the overlap annotation (each phase solves its
-// boundary lines, posts the carry with Isend and solves the interior while
-// the message flies), and the stencil halos pipeline across timesteps (each
-// step preposts the next step's halo receives before the add phase). The
-// final field is bit-identical to RunSP; the zero Overlap reproduces it
-// exactly.
+//
+// The zero Overlap runs the strict schedule. Enabled, the sweep plan is
+// compiled with the overlap annotation (each phase solves its boundary
+// lines, posts the carry with Isend and solves the interior while the
+// message flies), and the stencil halos pipeline across timesteps (each
+// step preposts the next step's halo receives before the add phase); the
+// final field is bit-identical either way.
 func RunSPOverlap(env *dist.Env, mach *sim.Machine, steps int, o plan.Overlap) (*grid.Grid, sim.Result, error) {
 	if err := spCheck(env); err != nil {
 		return nil, sim.Result{}, err

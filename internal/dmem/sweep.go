@@ -38,7 +38,7 @@ type SweepRunner struct {
 	Overlap plan.Overlap
 	// Plan is the compiled schedule the runner executes. Leave nil to have
 	// the first Run compile it from the fields' environment; pre-set it
-	// (see CompileSweepPlan) to share one instance across all rank
+	// (see CompileSweepPlanOverlap) to share one instance across all rank
 	// runners instead of compiling the full O(p) schedule per rank.
 	Plan *plan.SweepPlan
 
@@ -87,22 +87,14 @@ type tileBind struct {
 	geom  [][]grid.Line
 }
 
-// CompileSweepPlan compiles the sweep schedule the strict runtime executes
-// over env with the given solver — the one instance every rank's
+// CompileSweepPlanOverlap compiles the sweep schedule the strict runtime
+// executes over env with the given solver — the one instance every rank's
 // SweepRunner should share (set SweepRunner.Plan). The fields are assumed
 // unpadded (the solve vectors of the strict applications); runners over
 // padded fields may still share it, since padding only moves storage
-// offsets, which live in the runner's binding cache, not the plan.
-func CompileSweepPlan(env *dist.Env, solver sweep.Solver) (*plan.SweepPlan, error) {
-	return plan.Compile(plan.Spec{
-		M: env.M, Eta: env.Eta, Solver: solver,
-		Halos: make([]int, solver.NumVecs()),
-	})
-}
-
-// CompileSweepPlanOverlap is CompileSweepPlan with the boundary-first
-// overlap annotation enabled (plan.Overlap): the same schedule plus per-
-// phase split points and interior-message tags.
+// offsets, which live in the runner's binding cache, not the plan. The
+// zero Overlap yields the strict schedule; an enabled one adds per-phase
+// split points and interior-message tags.
 func CompileSweepPlanOverlap(env *dist.Env, solver sweep.Solver, o plan.Overlap) (*plan.SweepPlan, error) {
 	return plan.Compile(plan.Spec{
 		M: env.M, Eta: env.Eta, Solver: solver,
@@ -119,19 +111,6 @@ func NewSweepRunner(solver sweep.Solver, fields []*Field) *SweepRunner {
 		panic(fmt.Sprintf("dmem: solver %s needs %d fields, got %d", solver.Name(), solver.NumVecs(), len(fields)))
 	}
 	return &SweepRunner{Solver: solver, Fields: fields, binds: map[int][][]tileBind{}}
-}
-
-// RunSweep performs a full line sweep (forward elimination and, when the
-// solver has one, back substitution) along dim over strictly distributed
-// fields: the solver's per-line arrays live in the calling rank's private
-// tile storage, and inter-tile carries travel in real message payloads.
-// fields must hold Solver.NumVecs() fields of this rank.
-//
-// The helper builds a throwaway SweepRunner (and compiles a throwaway
-// plan) per call; loops should build one runner up front, sharing a
-// CompileSweepPlan instance, so schedule, bindings and arenas persist.
-func RunSweep(r xport.Transport, solver sweep.Solver, fields []*Field, dim int) {
-	NewSweepRunner(solver, fields).Run(r, dim)
 }
 
 // ensurePlan compiles the runner's schedule on first use when no shared
@@ -174,11 +153,6 @@ func (sr *SweepRunner) ref() *Field {
 	panic(fmt.Sprintf("dmem: solver %s: every field is nil", sr.Solver.Name()))
 }
 
-// hasBackward reports whether the solver has a backward pass to run.
-func (sr *SweepRunner) hasBackward() bool {
-	return sr.Solver.BackwardCarryLen() > 0 || sr.Solver.BackwardFlopsPerElement() > 0
-}
-
 // ensureMasks resolves both passes' gather/scatter masks on first use and
 // checks that every nil field is one the fill supplies and the backward
 // pass never reads. Without a fill the masks are the solver's PassMasks.
@@ -200,7 +174,7 @@ func (sr *SweepRunner) ensureMasks() {
 	fwdT, fwdW := sweep.PassMasks(s, false)
 	bwdT, bwdW := sweep.PassMasks(s, true)
 	fm := passMasks{gather: fwdT, scatter: fwdW}
-	bwd := sr.hasBackward()
+	bwd := sweep.HasBackward(sr.Solver)
 	if fill != nil {
 		fm = passMasks{gather: make([]bool, nv), scatter: make([]bool, nv)}
 	}
@@ -233,7 +207,7 @@ func (sr *SweepRunner) Run(r xport.Transport, dim int) {
 	sr.ensurePlan()
 	sr.ensureMasks()
 	sr.pass(r, dim, false)
-	if sr.hasBackward() {
+	if sweep.HasBackward(sr.Solver) {
 		sr.pass(r, dim, true)
 	}
 	sr.pub.Publish(r.MetricsRegistry(), &sr.pan)
@@ -294,77 +268,43 @@ func (sr *SweepRunner) bindings(pp *plan.Pass, dim int, backward bool) [][]tileB
 func (sr *SweepRunner) pass(r xport.Transport, dim int, backward bool) {
 	solver := sr.Solver
 	env := sr.ref().Env
-	q := r.Rank()
-	pp := sr.Plan.Pass(q, dim, backward)
-	binds := sr.bindings(pp, dim, backward)
-	carryLen := pp.CarryLen
-	flopsPerElem := solver.ForwardFlopsPerElement()
-	if backward {
-		flopsPerElem = solver.BackwardFlopsPerElement()
-	}
-
+	pp := sr.Plan.Pass(r.Rank(), dim, backward)
 	pc := &dmPassCtx{
-		env: env, binds: binds, dim: dim, backward: backward, carryLen: carryLen,
-		flopsPerElem: flopsPerElem, batch: sr.Batch,
+		env: env, binds: sr.bindings(pp, dim, backward), dim: dim, backward: backward,
+		carryLen: pp.CarryLen, batch: sr.Batch,
 	}
 	if pc.batch <= 0 {
 		pc.batch = sweep.DefaultBatchLines
 	}
+	ex := dist.PassExec{
+		PerMessage:    env.Overhead.PerMessage,
+		FlopsPerElem:  solver.ForwardFlopsPerElement(),
+		ComputeFactor: env.Overhead.ComputeFactor,
+		Payloads:      true,
+		Solve: func(k, gLo, gHi int, cIn, cOut []float64) int {
+			return sr.solveLineRange(r, pc, &pp.Phases[k], k, gLo, gHi, cIn, cOut)
+		},
+	}
 	if backward {
 		pc.passMasks = sr.masks[1]
+		ex.FlopsPerElem = solver.BackwardFlopsPerElement()
 	} else {
 		pc.passMasks = sr.masks[0]
 		pc.fill = sr.Fill.Func
 	}
-
-	// Overlap-annotated phases run the boundary-first schedule; preB/preI
-	// carry receive requests preposted for the next phase.
-	var preB, preI xport.Request
-	for k := range pp.Phases {
-		ph := &pp.Phases[k]
-		if ph.Boundary > 0 {
-			preB, preI = sr.overlapPhase(r, pc, pp, k, preB, preI)
-			continue
-		}
-		// Carries arrive in a pooled payload whose ownership transfers with
-		// the message; it is recycled below once every tile has read its
-		// rows. Outgoing carries are assembled directly in a pooled payload
-		// — the batched kernels' carry marshalling IS the wire format.
-		var inBuf []float64
-		if ph.RecvFrom >= 0 && carryLen > 0 {
-			msg := r.Recv(ph.RecvFrom, ph.RecvTag)
-			r.Compute(env.Overhead.PerMessage)
-			inBuf = msg.Payload
-		}
-		var outBuf []float64
-		if ph.SendTo >= 0 && carryLen > 0 {
-			outBuf = r.GetPayload(ph.Lines * carryLen)
-		}
-
-		elements := sr.solveLineRange(r, pc, ph, k, 0, ph.Lines, inBuf, outBuf)
-		if inBuf != nil {
-			r.PutPayload(inBuf)
-		}
-		r.ComputeFlops(flopsPerElem * float64(elements) * env.Overhead.ComputeFactor)
-
-		if ph.SendTo >= 0 && carryLen > 0 {
-			r.Compute(env.Overhead.PerMessage)
-			r.Send(ph.SendTo, ph.SendTag, xport.Msg{Bytes: ph.SendBytes, Payload: outBuf})
-		}
-	}
+	dist.RunPass(r, pp, ex)
 }
 
-// dmPassCtx bundles one pass invocation's resolved locals shared by the
-// strict loop and the overlapped phase executor.
+// dmPassCtx bundles one pass invocation's resolved locals for the solve
+// kernel.
 type dmPassCtx struct {
 	passMasks
-	env          *dist.Env
-	binds        [][]tileBind
-	dim          int
-	backward     bool
-	carryLen     int
-	flopsPerElem float64
-	batch        int
+	env      *dist.Env
+	binds    [][]tileBind
+	dim      int
+	backward bool
+	carryLen int
+	batch    int
 	// fill is the runner's panel fill on the forward pass, else nil.
 	fill func(dim, g0, nb, n int, panels [][]float64)
 }
@@ -372,8 +312,7 @@ type dmPassCtx struct {
 // solveLineRange computes the phase's canonical lines in [gLo, gHi) over
 // this rank's bound tile storage, clipping each tile to the range.
 // cInBuf/cOutBuf hold the range's carries indexed from gLo. Tiles
-// intersecting the range pay PerTileVisit per visit; the caller charges the
-// flops so boundary and interior compute appear as separate intervals.
+// intersecting the range pay PerTileVisit per visit.
 // On the forward pass the fill, if any, generates its vectors in place of
 // the gather.
 func (sr *SweepRunner) solveLineRange(r xport.Transport, pc *dmPassCtx, ph *plan.Phase, k, gLo, gHi int, cInBuf, cOutBuf []float64) int {

@@ -96,7 +96,7 @@ func CalibrateOn(topology string, eta []int, steps int) ([]CalibrationRow, error
 		// One compiled plan feeds both sides of the audit: the executor runs
 		// it, and the analytic side folds over it — predicted and measured
 		// describe the very same schedule instance, not two reconstructions.
-		pl, err := nas.CompilePlan(env)
+		pl, err := nas.CompilePlanOverlap(env, plan.Overlap{})
 		if err != nil {
 			return nil, fmt.Errorf("exp: Calibrate: p=%d: %w", p, err)
 		}

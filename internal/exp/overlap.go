@@ -81,7 +81,7 @@ func OverlapComparisonOn(topology string, p int, eta []int, steps int, frac floa
 		return OverlapResult{}, err
 	}
 	machOff.Trace = &sim.Trace{}
-	plOff, err := nas.CompilePlan(env)
+	plOff, err := nas.CompilePlanOverlap(env, plan.Overlap{})
 	if err != nil {
 		return OverlapResult{}, err
 	}

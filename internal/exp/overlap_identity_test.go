@@ -59,7 +59,7 @@ func TestOverlapBitIdentitySP(t *testing.T) {
 	eta := []int{12, 12, 12}
 	for _, p := range []int{4, 16} {
 		env := overlapEnv(t, p, overlapGamma[p], eta)
-		off, _, err := dmem.RunSP(env, nas.Origin2000Machine(p), 2)
+		off, _, err := dmem.RunSPOverlap(env, nas.Origin2000Machine(p), 2, plan.Overlap{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestOverlapBitIdentityBT(t *testing.T) {
 	eta := []int{12, 12, 12}
 	for _, p := range []int{4, 16} {
 		env := overlapEnv(t, p, overlapGamma[p], eta)
-		off, _, err := dmem.RunBT(env, nas.Origin2000Machine(p), 2)
+		off, _, err := dmem.RunBTOverlap(env, nas.Origin2000Machine(p), 2, plan.Overlap{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func TestOverlapBitIdentityADI(t *testing.T) {
 	for _, p := range []int{4, 16} {
 		env := overlapEnv(t, p, overlapGamma[p], eta)
 		pb := adi.Problem{Eta: eta, Alpha: 0.3, Steps: 2}
-		off, _, err := dmem.RunADI(pb, env, nas.Origin2000Machine(p))
+		off, _, err := dmem.RunADIOverlap(pb, env, nas.Origin2000Machine(p), plan.Overlap{})
 		if err != nil {
 			t.Fatal(err)
 		}

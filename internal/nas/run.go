@@ -41,19 +41,14 @@ const (
 // (LHS build + forward/backward passes).
 func PhaseSolve(dim int) string { return fmt.Sprintf("solve%d", dim) }
 
-// CompilePlan compiles the SweepPlan of the SP application over env: the
-// schedule its solve phases execute, the instance the cost model folds
+// CompilePlanOverlap compiles the SweepPlan of the SP application over env:
+// the schedule its solve phases execute, the instance the cost model folds
 // over (cost.PlanSweepTime) and obs dumps. Pass it to RunPlanned so
-// prediction and measurement consume the very same plan.
-func CompilePlan(env *dist.Env) (*plan.SweepPlan, error) {
-	return plan.Compile(plan.Spec{M: env.M, Eta: env.Eta, Solver: newSPSolver()})
-}
-
-// CompilePlanOverlap is CompilePlan with the boundary-first overlap
-// annotation (plan.Overlap): the identical schedule plus per-phase split
-// points and interior-carry tags. RunPlanned (and every other consumer of
-// the plan) switches on the annotation itself — overlap is a property of
-// the compiled plan, not of any executor.
+// prediction and measurement consume the very same plan. The zero Overlap
+// yields the strict schedule; an enabled one adds per-phase split points
+// and interior-carry tags. RunPlanned (and every other consumer of the
+// plan) switches on the annotation itself — overlap is a property of the
+// compiled plan, not of any executor.
 func CompilePlanOverlap(env *dist.Env, o plan.Overlap) (*plan.SweepPlan, error) {
 	return plan.Compile(plan.Spec{M: env.M, Eta: env.Eta, Solver: newSPSolver(), Overlap: o})
 }
@@ -66,7 +61,7 @@ func Run(env *dist.Env, mach *sim.Machine, steps int, u *grid.Grid) (sim.Result,
 	return RunPlanned(env, mach, steps, u, nil)
 }
 
-// RunPlanned is Run executing a pre-compiled SweepPlan (from CompilePlan
+// RunPlanned is Run executing a pre-compiled SweepPlan (from CompilePlanOverlap
 // over the same env); pl == nil compiles one internally.
 func RunPlanned(env *dist.Env, mach *sim.Machine, steps int, u *grid.Grid, pl *plan.SweepPlan) (sim.Result, error) {
 	modelOnly := u == nil

@@ -36,7 +36,7 @@ func TestCrossRuntimeEquivalence(t *testing.T) {
 		t.Fatalf("dist plan invalid: %v", err)
 	}
 
-	dmemPlan, err := dmem.CompileSweepPlan(env, solver)
+	dmemPlan, err := dmem.CompileSweepPlanOverlap(env, solver, plan.Overlap{})
 	if err != nil {
 		t.Fatal(err)
 	}

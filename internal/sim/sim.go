@@ -116,7 +116,7 @@ type Machine struct {
 	Fabric Fabric
 	// Coll is the default collective algorithm applied when a call passes
 	// AlgAuto; zero (AlgAuto) keeps each primitive's legacy algorithm.
-	Coll  Alg
+	Coll  xport.Alg
 	Trace *Trace
 	// Metrics mirrors run activity (messages, bytes, per-link traffic,
 	// collectives, pool and mailbox recycling, contention stalls) into a
@@ -258,11 +258,6 @@ func (r Result) TotalMessages() int {
 	return n
 }
 
-// Msg is a point-to-point message (see xport.Msg; the struct moved with
-// the transport carve-out so plan consumers can build messages without
-// importing the simulator).
-type Msg = xport.Msg
-
 type msgKey struct{ src, dst, tag int }
 
 // envelope is a queued message plus the simulator-private injection
@@ -270,7 +265,7 @@ type msgKey struct{ src, dst, tag int }
 // timestamp used to be an unexported Msg field; it rides in the mailbox
 // now so Msg itself is transport-neutral.
 type envelope struct {
-	msg  Msg
+	msg  xport.Msg
 	sent float64
 }
 
@@ -350,7 +345,7 @@ func (mb *mailbox) isDeadlocked() bool {
 	return mb.deadlock
 }
 
-func (mb *mailbox) put(k msgKey, m Msg, sent float64) {
+func (mb *mailbox) put(k msgKey, m xport.Msg, sent float64) {
 	mb.mu.Lock()
 	var env *envelope
 	if n := len(mb.free); n > 0 {
@@ -385,7 +380,7 @@ func (mb *mailbox) anyDeliverable() bool {
 	return false
 }
 
-func (mb *mailbox) get(k msgKey) (Msg, float64, error) {
+func (mb *mailbox) get(k msgKey) (xport.Msg, float64, error) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	for {
@@ -408,7 +403,7 @@ func (mb *mailbox) get(k msgKey) (Msg, float64, error) {
 			// no longer drives progress detection, but the post-mortem
 			// (mailboxState) reads it to name what each rank was blocked on.
 			mb.waiting[k.dst] = k
-			return Msg{}, 0, fmt.Errorf("sim: deadlock: rank %d waiting for message from %d tag %d", k.dst, k.src, k.tag)
+			return xport.Msg{}, 0, fmt.Errorf("sim: deadlock: rank %d waiting for message from %d tag %d", k.dst, k.src, k.tag)
 		}
 		mb.waiting[k.dst] = k
 		mb.blocked++
@@ -416,7 +411,7 @@ func (mb *mailbox) get(k msgKey) (Msg, float64, error) {
 			mb.deadlock = true
 			mb.blocked--
 			mb.cond.Broadcast()
-			return Msg{}, 0, fmt.Errorf("sim: deadlock: all ranks blocked with nothing deliverable (rank %d waits on src %d tag %d)", k.dst, k.src, k.tag)
+			return xport.Msg{}, 0, fmt.Errorf("sim: deadlock: all ranks blocked with nothing deliverable (rank %d waits on src %d tag %d)", k.dst, k.src, k.tag)
 		}
 		mb.cond.Wait()
 		mb.blocked--
@@ -680,7 +675,7 @@ func (r *Rank) ComputeFlops(flops float64) {
 
 // Send posts a message to dst. Sends are eager (buffered): the sender only
 // pays its injection overhead.
-func (r *Rank) Send(dst, tag int, m Msg) {
+func (r *Rank) Send(dst, tag int, m xport.Msg) {
 	if dst < 0 || dst >= r.machine.P {
 		panic(fmt.Sprintf("sim: Send to rank %d of %d", dst, r.machine.P))
 	}
@@ -707,7 +702,7 @@ func (r *Rank) Send(dst, tag int, m Msg) {
 
 // Recv blocks until the next message from src with the given tag arrives,
 // advancing the clock to max(now, arrival) + receive overhead.
-func (r *Rank) Recv(src, tag int) Msg {
+func (r *Rank) Recv(src, tag int) xport.Msg {
 	if src < 0 || src >= r.machine.P {
 		panic(fmt.Sprintf("sim: Recv from rank %d of %d", src, r.machine.P))
 	}
@@ -747,7 +742,7 @@ func (r *Rank) Recv(src, tag int) Msg {
 
 // SendRecv posts a send to dst and then receives from src (safe in rings
 // and shifts because sends never block).
-func (r *Rank) SendRecv(dst, sendTag int, m Msg, src, recvTag int) Msg {
+func (r *Rank) SendRecv(dst, sendTag int, m xport.Msg, src, recvTag int) xport.Msg {
 	r.Send(dst, sendTag, m)
 	return r.Recv(src, recvTag)
 }
@@ -816,10 +811,10 @@ func (r *Rank) collectiveCost(bytes int) float64 {
 	fab := r.machine.Fabric
 	so, ro := r.machine.Net.SendOverhead, r.machine.Net.RecvOverhead
 	switch r.machine.Coll {
-	case AlgRing, AlgPairwise:
+	case xport.AlgRing, xport.AlgPairwise:
 		per := so + ro + fab.Transit(r.ID, (r.ID+1)%p, bytes)
 		return float64(p-1) * per
-	default: // AlgAuto, AlgDoubling, AlgBruck: the ⌈log₂ p⌉ tree
+	default: // xport.AlgAuto, xport.AlgDoubling, xport.AlgBruck: the ⌈log₂ p⌉ tree
 		rounds := 0
 		for n := 1; n < p; n *= 2 {
 			rounds++

@@ -16,6 +16,7 @@ func batchSolvers() []Solver {
 		NewPenta(),
 		Banded{KL: 3, KU: 2},
 		Banded{KL: 1, KU: 3},
+		Banded{KL: 2, KU: 0},
 		NewBlockTridiag(1),
 		NewBlockTridiag(2),
 		NewBlockTridiag(5),
@@ -200,7 +201,7 @@ func TestBatchBitIdentityChunked(t *testing.T) {
 					}
 					cIn, cOut = cOut, cIn
 				}
-				if bLen > 0 {
+				if HasBackward(s) {
 					bIn := make([]float64, nb*bLen)
 					bOut := make([]float64, nb*bLen)
 					for c := len(chunkPanels) - 1; c >= 0; c-- {
@@ -292,7 +293,7 @@ func batchCarriesCase(t *testing.T, s Solver, n, nb int) {
 		}
 	}
 
-	if bLen > 0 {
+	if HasBackward(s) {
 		bIn := make([]float64, nb*bLen)
 		for i := range bIn {
 			bIn[i] = rng.Float64()

@@ -59,6 +59,13 @@ type Solver interface {
 	FlopsPerElement() float64
 }
 
+// HasBackward reports whether s has a backward pass to run. A pass without
+// carries still counts when it does work: the backward pass of a banded
+// solver with no super-diagonals divides by the diagonal.
+func HasBackward(s Solver) bool {
+	return s.BackwardCarryLen() > 0 || s.BackwardFlopsPerElement() > 0
+}
+
 // --- first-order recurrence ---------------------------------------------
 
 // Recurrence solves x[k] = a[k]·x[k−1] + b[k] in place. Vecs: [a, x] where x

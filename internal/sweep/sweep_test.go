@@ -190,7 +190,7 @@ func randBanded(rng *rand.Rand, n, kl, ku int) (vecs [][]float64, A [][]float64,
 
 func TestBandedWholeLineMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	for _, band := range []Banded{{1, 1}, {2, 2}, {1, 2}, {2, 1}, {3, 3}} {
+	for _, band := range []Banded{{1, 1}, {2, 2}, {1, 2}, {2, 1}, {3, 3}, {1, 0}, {2, 0}} {
 		for trial := 0; trial < 40; trial++ {
 			n := band.KL + band.KU + 1 + rng.Intn(30)
 			vecs, A, rhs := randBanded(rng, n, band.KL, band.KU)
@@ -208,7 +208,7 @@ func TestBandedWholeLineMatchesDense(t *testing.T) {
 
 func TestBandedChunkedMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
-	for _, band := range []Banded{{1, 1}, {2, 2}, {2, 1}, {1, 2}} {
+	for _, band := range []Banded{{1, 1}, {2, 2}, {2, 1}, {1, 2}, {1, 0}, {2, 0}} {
 		for trial := 0; trial < 120; trial++ {
 			n := 4 + rng.Intn(40)
 			vecs, A, rhs := randBanded(rng, n, band.KL, band.KU)

@@ -139,11 +139,13 @@ func ChunkedSolveWS(s Solver, vecs [][]float64, cuts []int, ws *Workspace) {
 		cIn, cOut = cOut, cIn
 	}
 
-	bLen := s.BackwardCarryLen()
-	if bLen == 0 {
+	if !HasBackward(s) {
 		return
 	}
-	bIn, bOut := ws.CarryPair(bLen)
+	var bIn, bOut []float64
+	if bLen := s.BackwardCarryLen(); bLen > 0 {
+		bIn, bOut = ws.CarryPair(bLen)
+	}
 	first = true
 	for c := len(bounds) - 2; c >= 0; c-- {
 		lo, hi := bounds[c], bounds[c+1]
