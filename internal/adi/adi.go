@@ -17,8 +17,10 @@
 package adi
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"genmp/internal/dist"
 	"genmp/internal/grid"
@@ -63,62 +65,63 @@ func (pb Problem) InitialCondition() *grid.Grid {
 	return u
 }
 
+// Row returns row g of the half-step system on a line of n points:
+// lower = upper = −α and diag = 1+2α. Dirichlet boundaries zero the
+// out-of-domain couplings (lower at g = 0, upper at g = n−1); a periodic
+// problem keeps them as the wrap couplings, which the cyclic solver reads
+// from lower[0] and upper[n−1]. It is the one coefficient formula of every
+// ADI path, serial and strict.
+func (pb Problem) Row(g, n int) (lower, diag, upper float64) {
+	a := pb.Alpha
+	lower, diag, upper = -a, 1+2*a, -a
+	if !pb.Periodic {
+		if g == 0 {
+			lower = 0
+		}
+		if g == n-1 {
+			upper = 0
+		}
+	}
+	return lower, diag, upper
+}
+
 // fillCoefficients writes the tridiagonal coefficients for a half-step
 // along dim into lower/diag/upper and copies u into rhs, over the region
 // rect.
 func (pb Problem) fillCoefficients(dim int, rect grid.Rect, u, lower, diag, upper, rhs *grid.Grid) {
-	a := pb.Alpha
 	n := pb.Eta[dim]
 	ud := u.Data()
 	ld := lower.Data()
 	dd := diag.Data()
 	pd := upper.Data()
 	rd := rhs.Data()
-	// The interior coefficients are constants and rhs is a copy of u, so the
-	// region can be walked along the innermost (stride-1) dimension whatever
-	// dim the half-step solves: same values, contiguous stores.
+	// The coefficients depend only on the row along dim and rhs is a copy
+	// of u, so the region is walked along the innermost (stride-1)
+	// dimension whatever dim the half-step solves: one row per element when
+	// dim is the innermost, else one row per slab of constant g.
 	last := u.Dims() - 1
-	u.EachLine(rect, last, func(l grid.Line) {
-		if l.Stride == 1 {
-			end := l.Base + l.N
-			for off := l.Base; off < end; off++ {
-				ld[off] = -a
-				pd[off] = -a
-				dd[off] = 1 + 2*a
-			}
-			copy(rd[l.Base:end], ud[l.Base:end])
-			return
-		}
-		off := l.Base
-		for k := 0; k < l.N; k++ {
-			ld[off] = -a
-			pd[off] = -a
-			dd[off] = 1 + 2*a
-			rd[off] = ud[off]
-			off += l.Stride
-		}
-	})
-	// At the physical boundaries: zero the out-of-domain couplings
-	// (Dirichlet), or keep them as the wrap couplings of a cyclic system
-	// (periodic — the solver interprets lower[0] and upper[n−1] as the
-	// wrap-around entries).
-	if pb.Periodic {
-		return
-	}
-	zeroFace := func(face grid.Rect, data []float64) {
-		u.EachLine(face, last, func(l grid.Line) {
+	if dim == last {
+		u.EachLine(rect, last, func(l grid.Line) {
 			off := l.Base
 			for k := 0; k < l.N; k++ {
-				data[off] = 0
+				ld[off], dd[off], pd[off] = pb.Row(rect.Lo[dim]+k, n)
+				rd[off] = ud[off]
 				off += l.Stride
 			}
 		})
+		return
 	}
-	if rect.Lo[dim] == 0 {
-		zeroFace(rect.Face(dim, -1), ld)
-	}
-	if rect.Hi[dim] == n {
-		zeroFace(rect.Face(dim, +1), pd)
+	slab := grid.RectOf(slices.Clone(rect.Lo), slices.Clone(rect.Hi))
+	for g := rect.Lo[dim]; g < rect.Hi[dim]; g++ {
+		lo, dg, up := pb.Row(g, n)
+		slab.Lo[dim], slab.Hi[dim] = g, g+1
+		u.EachLine(slab, last, func(l grid.Line) {
+			end := l.Base + l.N
+			for off := l.Base; off < end; off++ {
+				ld[off], dd[off], pd[off] = lo, dg, up
+			}
+			copy(rd[l.Base:end], ud[l.Base:end])
+		})
 	}
 }
 
@@ -181,6 +184,20 @@ func solveAllLines(vecs []*grid.Grid, rect grid.Rect, dim int, periodic bool) {
 	})
 }
 
+// ErrPeriodicDistributed is returned by every distributed ADI entry point
+// for a periodic problem.
+var ErrPeriodicDistributed = errors.New("adi: periodic boundaries are whole-line only (use SerialSolve); a distributed cyclic sweep needs an end-to-end correction exchange this runtime does not implement")
+
+// CheckDistributed reports whether pb can run on a distributed line sweep,
+// which solves Dirichlet systems only. Every distributed entry point calls
+// it before any rank starts.
+func (pb Problem) CheckDistributed() error {
+	if pb.Periodic {
+		return ErrPeriodicDistributed
+	}
+	return nil
+}
+
 // Strategy selects the parallelization of the distributed run.
 type Strategy int
 
@@ -232,8 +249,8 @@ type Config struct {
 // simulation result. In data mode the final u matches SerialSolve exactly
 // (same arithmetic, same order within each line).
 func Run(pb Problem, u *grid.Grid, cfg Config) (sim.Result, error) {
-	if pb.Periodic {
-		return sim.Result{}, fmt.Errorf("adi: periodic boundaries are whole-line only (use SerialSolve); a distributed cyclic sweep needs an end-to-end correction exchange this runtime does not implement")
+	if err := pb.CheckDistributed(); err != nil {
+		return sim.Result{}, err
 	}
 	switch cfg.Strategy {
 	case Multipartition:

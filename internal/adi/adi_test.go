@@ -1,6 +1,7 @@
 package adi
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -201,8 +202,8 @@ func TestPeriodicSerialConservesMass(t *testing.T) {
 func TestPeriodicDistributedRejected(t *testing.T) {
 	pb := Problem{Eta: []int{8, 8, 8}, Alpha: 0.3, Steps: 1, Periodic: true}
 	cfg := multiConfig(t, 4, []int{2, 2, 2}, pb.Eta)
-	if _, err := Run(pb, pb.InitialCondition(), cfg); err == nil {
-		t.Error("distributed periodic ADI should be rejected")
+	if _, err := Run(pb, pb.InitialCondition(), cfg); !errors.Is(err, ErrPeriodicDistributed) {
+		t.Errorf("distributed periodic ADI: error %v, want ErrPeriodicDistributed", err)
 	}
 }
 

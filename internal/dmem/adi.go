@@ -16,12 +16,16 @@ import (
 // with per-rank private storage and payload-borne carries. ADI's
 // stencil-free coefficient builds need no halos at all, so the only
 // communication is the sweep carries plus the final gather. The returned
-// grid (rank 0) matches adi.Problem.SerialSolve elementwise. An enabled
+// grid (rank 0) matches adi.Problem.SerialSolve bit for bit. An enabled
 // Overlap selects the boundary-first schedule (the sweep carries are the
-// only pipelined traffic); the final field is bit-identical either way.
+// only pipelined traffic); the final field is bit-identical either way. A
+// periodic problem is rejected with adi.ErrPeriodicDistributed before any
+// rank starts.
 func RunADIOverlap(pb adi.Problem, env *dist.Env, mach *sim.Machine, o plan.Overlap) (*grid.Grid, sim.Result, error) {
-	solver := sweep.Tridiag{}
-	sweepPlan, err := CompileSweepPlanOverlap(env, solver, o)
+	if err := pb.CheckDistributed(); err != nil {
+		return nil, sim.Result{}, err
+	}
+	sweepPlan, err := CompileSweepPlanOverlap(env, sweep.Tridiag{}, o)
 	if err != nil {
 		return nil, sim.Result{}, err
 	}
@@ -38,6 +42,9 @@ func RunADIOverlap(pb adi.Problem, env *dist.Env, mach *sim.Machine, o plan.Over
 // nil compiles the schedule locally; the final field is Float64bits-
 // identical to RunADIOverlap's.
 func RunADIReal(pb adi.Problem, env *dist.Env, rm *rt.Machine, o plan.Overlap, pl *plan.SweepPlan) (*grid.Grid, rt.Result, error) {
+	if err := pb.CheckDistributed(); err != nil {
+		return nil, rt.Result{}, err
+	}
 	if pl == nil {
 		var err error
 		if pl, err = CompileSweepPlanOverlap(env, sweep.Tridiag{}, o); err != nil {
@@ -56,24 +63,26 @@ func RunADIReal(pb adi.Problem, env *dist.Env, rm *rt.Machine, o plan.Overlap, p
 // adiBody builds the per-rank body of the ADI strict run, shared by both
 // backends. Only rank 0 writes *out.
 func adiBody(pb adi.Problem, env *dist.Env, sweepPlan *plan.SweepPlan, out **grid.Grid) func(t xport.Transport) {
-	solver := sweep.Tridiag{}
 	return func(t xport.Transport) {
 		u := NewField(env, t.Rank(), 0)
 		init := pb.InitialCondition()
 		u.FillFunc(func(g []int) float64 { return init.At(g...) })
-		vecs := make([]*Field, solver.NumVecs()) // lower, diag, upper, rhs
-		for v := range vecs {
-			vecs[v] = NewField(env, t.Rank(), 0)
-		}
-		runner := NewSweepRunner(solver, vecs)
+		// The fill supplies lower, diag and upper; the backward pass reads
+		// only c′ (upper) and the right-hand side, and u itself is the
+		// right-hand side, so the solution lands in u.
+		vecs := []*Field{nil, nil, NewField(env, t.Rank(), 0), u}
+		runner := NewSweepRunner(sweep.Tridiag{}, vecs)
 		runner.Plan = sweepPlan
+		runner.Fill = adiPanelFill(pb)
 		const buildFlops = 4
 		for step := 0; step < pb.Steps; step++ {
 			for dim := range pb.Eta {
-				strictFillADI(pb, dim, u, vecs)
+				// The fill builds the coefficients inside the sweep and the
+				// solve writes u in place; the build and copy flops are
+				// still charged here, as adi.Run charges them, so virtual
+				// time does not move.
 				t.ComputeFlops(buildFlops * float64(ownedElements(u)) * env.Overhead.ComputeFactor)
 				runner.Run(t, dim)
-				strictCopy(vecs[3], u)
 				t.ComputeFlops(1 * float64(ownedElements(u)) * env.Overhead.ComputeFactor)
 			}
 		}
@@ -83,49 +92,20 @@ func adiBody(pb adi.Problem, env *dist.Env, sweepPlan *plan.SweepPlan, out **gri
 	}
 }
 
-// strictFillADI assembles the half-step coefficients over every owned tile:
-// lower = upper = −α (zeroed at the physical boundary), diag = 1+2α, and
-// rhs = u — the same arithmetic as adi.Problem.fillCoefficients.
-func strictFillADI(pb adi.Problem, dim int, u *Field, vecs []*Field) {
-	a := pb.Alpha
-	n := pb.Eta[dim]
-	for i := 0; i < u.NumTiles(); i++ {
-		b := u.GlobalBounds(i)
-		start := b.Lo[dim]
-		ug := u.TileGrid(i)
-		grids := make([]*grid.Grid, 4)
-		data := make([][]float64, 4)
-		for v := 0; v < 4; v++ {
-			grids[v] = vecs[v].TileGrid(i)
-			data[v] = grids[v].Data()
-		}
-		ud := ug.Data()
-		interior := vecs[0].InteriorRect(i)
-		grids[0].EachLine(interior, dim, func(l grid.Line) {
-			off := l.Base
-			for k := 0; k < l.N; k++ {
-				g := start + k
-				if g == 0 {
-					data[0][off] = 0
-				} else {
-					data[0][off] = -a
-				}
-				data[1][off] = 1 + 2*a
-				if g == n-1 {
-					data[2][off] = 0
-				} else {
-					data[2][off] = -a
-				}
-				data[3][off] = ud[off] // u has depth 0 here: same layout
-				off += l.Stride
+// adiPanelFill supplies lower, diag and upper of ADI's forward pass from
+// adi.Problem.Row, computed once per row and broadcast across the lanes.
+func adiPanelFill(pb adi.Problem) PanelFill {
+	return PanelFill{
+		Vecs: []bool{true, true, true, false},
+		Func: func(dim, g0, nb, n int, panels [][]float64) {
+			rows := len(panels[0]) / nb
+			for k := 0; k < rows; k++ {
+				lo, dg, up := pb.Row(g0+k, n)
+				row := k * nb
+				fillLanes(panels[0][row:row+nb], lo)
+				fillLanes(panels[1][row:row+nb], dg)
+				fillLanes(panels[2][row:row+nb], up)
 			}
-		})
-	}
-}
-
-// strictCopy copies src interiors into dst interiors (same depth-0 layout).
-func strictCopy(src, dst *Field) {
-	for i := 0; i < src.NumTiles(); i++ {
-		copy(dst.TileGrid(i).Data(), src.TileGrid(i).Data())
+		},
 	}
 }

@@ -1,6 +1,7 @@
 package dmem
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"slices"
@@ -280,6 +281,9 @@ func TestStrictSPMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestStrictADIMatchesSerial: strict ADI reproduces the serial whole-line
+// reference to the last bit, on the strict and the overlapped schedule,
+// including the wall-clock benchmark's shape (p=2, γ=[1,2,2], 16³).
 func TestStrictADIMatchesSerial(t *testing.T) {
 	cases := []struct {
 		p     int
@@ -289,23 +293,42 @@ func TestStrictADIMatchesSerial(t *testing.T) {
 		{4, []int{2, 2, 2}, []int{10, 9, 8}},
 		{8, []int{4, 4, 2}, []int{12, 12, 8}},
 		{5, []int{5, 5}, []int{15, 11}},
+		{2, []int{1, 2, 2}, []int{16, 16, 16}},
 	}
 	for _, c := range cases {
 		pb := adi.Problem{Eta: c.eta, Alpha: 0.3, Steps: 3}
 		want := pb.InitialCondition()
 		pb.SerialSolve(want)
-
 		env := mustEnv(t, c.p, c.gamma, c.eta)
-		got, res, err := RunADIOverlap(pb, env, testMachine(c.p), plan.Overlap{})
-		if err != nil {
-			t.Fatalf("p=%d: %v", c.p, err)
+		for _, o := range []plan.Overlap{{}, {Enabled: true}} {
+			got, res, err := RunADIOverlap(pb, env, testMachine(c.p), o)
+			if err != nil {
+				t.Fatalf("p=%d: %v", c.p, err)
+			}
+			wd, gd := want.Data(), got.Data()
+			for i := range wd {
+				if math.Float64bits(wd[i]) != math.Float64bits(gd[i]) {
+					t.Fatalf("p=%d γ=%v overlap %v: element %d: strict ADI %v vs serial %v", c.p, c.gamma, o.Enabled, i, gd[i], wd[i])
+				}
+			}
+			if res.Makespan <= 0 {
+				t.Error("zero makespan")
+			}
 		}
-		if d := grid.MaxAbsDiff(want, got); d > 1e-9 {
-			t.Errorf("p=%d γ=%v: strict ADI differs from serial by %g", c.p, c.gamma, d)
-		}
-		if res.Makespan <= 0 {
-			t.Error("zero makespan")
-		}
+	}
+}
+
+// TestStrictADIRejectsPeriodic: the strict drivers solve Dirichlet systems
+// only, so both backends reject a periodic problem with the error adi.Run
+// returns, before any rank starts (the nil machines are never used).
+func TestStrictADIRejectsPeriodic(t *testing.T) {
+	pb := adi.Problem{Eta: []int{8, 8, 8}, Alpha: 0.3, Steps: 1, Periodic: true}
+	env := mustEnv(t, 2, []int{1, 2, 2}, pb.Eta)
+	if _, _, err := RunADIOverlap(pb, env, nil, plan.Overlap{}); !errors.Is(err, adi.ErrPeriodicDistributed) {
+		t.Errorf("sim: error %v, want adi.ErrPeriodicDistributed", err)
+	}
+	if _, _, err := RunADIReal(pb, env, nil, plan.Overlap{}, nil); !errors.Is(err, adi.ErrPeriodicDistributed) {
+		t.Errorf("rt: error %v, want adi.ErrPeriodicDistributed", err)
 	}
 }
 

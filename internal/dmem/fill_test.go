@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"genmp/internal/adi"
 	"genmp/internal/grid"
 	"genmp/internal/nas"
 	"genmp/internal/plan"
@@ -31,15 +32,33 @@ func filledPanels(fill func(dim, g0, nb, n int, panels [][]float64), nv, dim, g0
 	return panels
 }
 
-// TestPanelFillsMatchReference checks every lane of the SP and BT panel
-// fills against nas.BandRow and nas.BuildBlockLHS bit for bit, for chunks
-// that start at the line start, one row in, near and at the line end and
-// mid-line, and run to the line end — so the zeroed couplings at both line
-// ends fall inside the chunk. Vectors the fill does not supply must keep
-// their poison.
+// adiTestAlpha is the diffusion number of the ADI fill tests.
+const adiTestAlpha = 0.3
+
+// adiRefRow spells out the ADI half-step row independently of
+// adi.Problem.Row: couplings −α, zeroed at the Dirichlet line ends, and a
+// 1+2α diagonal.
+func adiRefRow(g, n int) [3]float64 {
+	row := [3]float64{-adiTestAlpha, 1 + 2*adiTestAlpha, -adiTestAlpha}
+	if g == 0 {
+		row[0] = 0
+	}
+	if g == n-1 {
+		row[2] = 0
+	}
+	return row
+}
+
+// TestPanelFillsMatchReference checks every lane of the SP, BT and ADI
+// panel fills against nas.BandRow, nas.BuildBlockLHS and adiRefRow bit for
+// bit, for chunks that start at the line start, one row in, near and at
+// the line end and mid-line, and run to the line end — so the zeroed
+// couplings at both line ends fall inside the chunk. Vectors the fill does
+// not supply must keep their poison.
 func TestPanelFillsMatchReference(t *testing.T) {
 	eta := []int{9, 12, 7}
 	spVecs, btVecs := spPanelFill().Vecs, btPanelFill().Vecs
+	adiFill := adiPanelFill(adi.Problem{Eta: eta, Alpha: adiTestAlpha})
 	for dim, n := range eta {
 		ref := make([]*grid.Grid, 3*nas.BTBlockSize*nas.BTBlockSize)
 		for v := range ref {
@@ -53,8 +72,10 @@ func TestPanelFillsMatchReference(t *testing.T) {
 				name := fmt.Sprintf("dim %d g0 %d nb %d", dim, g0, nb)
 				sp := filledPanels(fillSPPanels, len(spVecs), dim, g0, nb, n, rows)
 				bp := filledPanels(fillBTPanels, len(btVecs), dim, g0, nb, n, rows)
+				ap := filledPanels(adiFill.Func, len(adiFill.Vecs), dim, g0, nb, n, rows)
 				for k := 0; k < rows; k++ {
 					l1, l2, dg, u1, u2 := nas.BandRow(g0+k, dim, n)
+					ar := adiRefRow(g0+k, n)
 					idx[dim] = g0 + k
 					for lane := 0; lane < nb; lane++ {
 						i := k*nb + lane
@@ -70,6 +91,11 @@ func TestPanelFillsMatchReference(t *testing.T) {
 							}
 							if math.Float64bits(bp[v][i]) != math.Float64bits(want) {
 								t.Fatalf("BT %s: vec %d row %d lane %d: fill %v, BuildBlockLHS %v", name, v, k, lane, bp[v][i], want)
+							}
+						}
+						for v, want := range []float64{ar[0], ar[1], ar[2], poison} {
+							if math.Float64bits(ap[v][i]) != math.Float64bits(want) {
+								t.Fatalf("ADI %s: vec %d row %d lane %d: fill %v, reference %v", name, v, k, lane, ap[v][i], want)
 							}
 						}
 					}
@@ -107,14 +133,27 @@ func fillCases() []fillCase {
 				nas.BuildBlockLHS(dim, gs[0].Bounds(), gs)
 			},
 		},
+		{
+			solver: sweep.Tridiag{},
+			fill:   adiPanelFill(adi.Problem{Alpha: adiTestAlpha}),
+			// lower and diag; upper is filled but the backward pass reads
+			// c′ back from it.
+			noField: 2,
+			build: func(dim int, gs []*grid.Grid) {
+				n := gs[0].Shape()[dim]
+				for v := 0; v < 3; v++ {
+					gs[v].FillFunc(func(g []int) float64 { return adiRefRow(g[dim], n)[v] })
+				}
+			},
+		},
 	}
 }
 
-// TestSweepRunnerPanelFill runs the strict runner with the SP and BT fills
-// and the drivers' nil fields (the accepted case of the nil-field check),
-// on the strict and the overlapped schedule, against the same runner
-// gathering coefficients precomputed by nas into full fields: every field
-// both runs keep must agree bit for bit.
+// TestSweepRunnerPanelFill runs the strict runner with the SP, BT and ADI
+// fills and the drivers' nil fields (the accepted case of the nil-field
+// check), on the strict and the overlapped schedule, against the same
+// runner gathering the reference coefficients from full fields: every
+// field both runs keep must agree bit for bit.
 func TestSweepRunnerPanelFill(t *testing.T) {
 	p, gamma, eta := 6, []int{2, 3, 6}, []int{12, 13, 12}
 	env := mustEnv(t, p, gamma, eta)

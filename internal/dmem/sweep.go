@@ -52,8 +52,8 @@ type SweepRunner struct {
 }
 
 // PanelFill generates panel vectors whose values depend only on the global
-// row, the sweep dimension and the line length — SP's bands, BT's blocks —
-// so the forward pass computes them in place instead of reading them back
+// row, the sweep dimension and the line length — SP's bands, BT's blocks,
+// ADI's tridiagonal rows — so the forward pass computes them in place instead of reading them back
 // from fields. Vecs marks the vectors Func supplies (len NumVecs). Func
 // fills them for a panel of nb lines whose first row lies at global index
 // g0 along dim, on lines of n points; the panel holds len(panels[v])/nb

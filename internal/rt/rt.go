@@ -7,6 +7,15 @@
 // exactly the ownership discipline the executors already follow for the
 // simulator's pooled payloads.
 //
+// A receive that finds its channel empty polls for a short fixed window
+// before it parks on the cond, but only on a machine with P ≤ GOMAXPROCS,
+// where every rank can hold a CPU. A hand-off to a polling receiver costs
+// about a microsecond; waking a parked goroutine whose thread has gone to
+// sleep costs a scheduler round trip and an OS futex wake, far more, and a
+// pipelined sweep would pay it at every phase boundary. Oversubscribed
+// machines park at once: there a spinning rank would only keep the sender
+// it waits for off the CPU.
+//
 // The cost-accounting hooks of the interface are free here: Compute and
 // ComputeFlops do nothing, because on a real backend the work itself took
 // the time. Sends are eager (the queue is unbounded), so the virtual-time

@@ -1,8 +1,11 @@
 package rt
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"genmp/internal/xport"
 )
@@ -238,5 +241,178 @@ func TestPoolAndMachineReuse(t *testing.T) {
 	}
 	if got := m.pool.get(64); cap(got) < 64 {
 		t.Errorf("pool did not retain a recycled buffer")
+	}
+}
+
+// boxCounters reads a box's receive counters under its lock, so a peer
+// rank may watch them while the box's own rank is receiving.
+func boxCounters(b *rankBox) (polls, parks int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.polls, b.parks
+}
+
+// waitFor yields until cond holds.
+func waitFor(cond func() bool) {
+	for !cond() {
+		runtime.Gosched()
+	}
+}
+
+// needsPolling skips a test of the polling path where it cannot run: a
+// machine of p ranks polls only when p ≤ GOMAXPROCS, and a poll can only
+// see a message from a rank that runs on another CPU.
+func needsPolling(t *testing.T, p int) {
+	t.Helper()
+	if runtime.GOMAXPROCS(0) < p || runtime.NumCPU() < p {
+		t.Skipf("polling needs %d CPUs (GOMAXPROCS %d, NumCPU %d)", p, runtime.GOMAXPROCS(0), runtime.NumCPU())
+	}
+}
+
+// recvBox runs a two-rank machine in which rank 1 receives rounds messages
+// on one channel and rank 0 sends message k once ready(box, k) holds for
+// rank 1's box. It returns rank 1's box for its counters.
+func recvBox(t *testing.T, rounds int, ready func(b *rankBox, k int) bool) *rankBox {
+	t.Helper()
+	m := NewMachine(2)
+	var box *rankBox
+	started := make(chan struct{})
+	_, err := m.Run(func(r *Rank) {
+		if r.ID == 1 {
+			box = &r.mb.boxes[1]
+			close(started)
+			for k := 0; k < rounds; k++ {
+				if got := r.Recv(0, 1).Payload[0]; got != float64(k) {
+					panic(fmt.Sprintf("message %d carried %v", k, got))
+				}
+			}
+			return
+		}
+		<-started
+		for k := 0; k < rounds; k++ {
+			waitFor(func() bool { return ready(box, k) })
+			r.Send(1, 1, xport.Msg{Payload: []float64{float64(k)}})
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return box
+}
+
+// A message sent while the receiver polls is received by the poll, without
+// parking. Whether one message beats the window depends on the host (a
+// descheduled CPU can outlast it), so each of many messages is sent once
+// the receiver has opened a new poll, runs repeat until one receive has
+// not parked, and only a host that never lets a poll win fails.
+func TestRecvPollReceivesMessage(t *testing.T) {
+	needsPolling(t, 2)
+	const rounds, attempts = 50, 20
+	for a := 0; a < attempts; a++ {
+		box := recvBox(t, rounds, func(b *rankBox, k int) bool {
+			polls, _ := boxCounters(b)
+			return polls > k
+		})
+		polls, parks := boxCounters(box)
+		if polls != rounds {
+			t.Fatalf("receiver opened %d polls in %d receives, want one each", polls, rounds)
+		}
+		if parks < rounds {
+			return
+		}
+	}
+	t.Errorf("all %d receives parked: no poll received its message", attempts*rounds)
+}
+
+// A message sent after the receiver parked — past the poll window, or at
+// once on a machine that does not poll — is received through the park.
+func TestRecvParkReceivesMessage(t *testing.T) {
+	const rounds = 3
+	box := recvBox(t, rounds, func(b *rankBox, k int) bool {
+		_, parks := boxCounters(b)
+		return parks > k
+	})
+	if _, parks := boxCounters(box); parks != rounds {
+		t.Errorf("%d receives parked %d times, want once each", rounds, parks)
+	}
+}
+
+// A machine with more ranks than GOMAXPROCS never polls: its receives park
+// at once.
+func TestOversubscribedMachineNeverPolls(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	m := NewMachine(2)
+	var boxes []rankBox
+	_, err := m.Run(func(r *Rank) {
+		if r.ID == 0 {
+			boxes = r.mb.boxes
+		}
+		for k := 0; k < 20; k++ {
+			if r.ID == 0 {
+				r.Send(1, 0, xport.Msg{Bytes: 8})
+				r.Recv(1, 0)
+			} else {
+				r.Recv(0, 0)
+				r.Send(0, 0, xport.Msg{Bytes: 8})
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for q := range boxes {
+		if polls, _ := boxCounters(&boxes[q]); polls != 0 {
+			t.Errorf("rank %d polled %d times on an oversubscribed machine", q, polls)
+		}
+	}
+}
+
+// Deadlock detection and abort reach a receiver that is polling, and the
+// run ends promptly.
+func TestPollingWaiterSeesExitAndAbort(t *testing.T) {
+	needsPolling(t, 2)
+	for _, c := range []struct {
+		name string
+		quit func()
+		want string
+	}{
+		{"exit", func() {}, "deadlock"},
+		{"panic", func() { panic("boom") }, "rank 0: boom"},
+	} {
+		m := NewMachine(2)
+		started := make(chan *rankBox)
+		t0 := time.Now()
+		_, err := m.Run(func(r *Rank) {
+			if r.ID == 1 {
+				started <- &r.mb.boxes[1]
+				r.Recv(0, 5)
+				return
+			}
+			box := <-started
+			waitFor(func() bool { polls, _ := boxCounters(box); return polls > 0 })
+			c.quit()
+		})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want %q", c.name, err, c.want)
+		}
+		if d := time.Since(t0); d > 5*time.Second {
+			t.Errorf("%s: run took %v to fail", c.name, d)
+		}
+	}
+}
+
+// A channel that drains keeps its queue: the steady state of put and get
+// allocates nothing.
+func TestMailboxSteadyStateAllocatesNothing(t *testing.T) {
+	mb := newMailbox(2)
+	m := xport.Msg{Payload: make([]float64, 4)}
+	allocs := testing.AllocsPerRun(200, func() {
+		mb.put(0, 1, 3, m)
+		mb.put(0, 1, 3, m)
+		mb.get(0, 1, 3, "")
+		mb.get(0, 1, 3, "")
+	})
+	if allocs != 0 {
+		t.Errorf("put/get allocate %v times a round, want 0", allocs)
 	}
 }
